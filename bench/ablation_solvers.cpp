@@ -1,27 +1,22 @@
-// Ablation: solver portfolio for the OR-Tools substitute. The paper's
-// related work cites GA, SA and PSO as the classical metaheuristics applied
-// to HPC scheduling; this bench compares them (plus local search and exact
-// branch & bound where tractable) on identical instances and budgets,
+// Ablation: solver portfolio for the OR-Tools substitute. This bench
+// compares the portfolio's solvers (local search, simulated annealing and
+// exact branch & bound where tractable) on identical instances and budgets,
 // justifying the SA+LS portfolio the OptimizingScheduler ships with.
 //
-// Expected: all metaheuristics land within a few percent of each other; SA
-// and GA edge out PSO at equal evaluation budgets; B&B certifies the optimum
-// on small instances and validates the gap.
+// Expected: SA beats local search by a few percent on the larger instances;
+// B&B certifies the optimum on small instances and validates the gap.
 //
-// PR 6 columns attribute the incremental-evaluation speedup: "cutoff%" is
-// the fraction of candidate evaluations the admissible bound aborted early,
-// "memo" the duplicates GA/PSO served from the score memo (neither changes
-// any solver decision - tests/test_opt_incremental_golden.cpp proves
+// "cutoff%" attributes the incremental-evaluation speedup: the fraction of
+// candidate evaluations the admissible bound aborted early (it changes no
+// solver decision - tests/test_opt_incremental_golden.cpp proves
 // bit-identity against the naive full-decode pipeline).
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "opt/branch_and_bound.hpp"
-#include "opt/genetic_algorithm.hpp"
 #include "opt/list_scheduler.hpp"
 #include "opt/local_search.hpp"
-#include "opt/particle_swarm.hpp"
 #include "opt/simulated_annealing.hpp"
 #include "workload/scenario_spec.hpp"
 
@@ -31,9 +26,9 @@ int main() {
   bench::print_header("Ablation - optimization solvers (Heterogeneous Mix, makespan)",
                       "identical instances, ~comparable evaluation budgets");
 
-  util::TextTable table({"Jobs", "Solver", "Makespan", "vs best", "Evals", "Cutoff%", "Memo"});
-  util::CsvTable csv({"n_jobs", "solver", "score", "ratio_vs_best", "evaluations",
-                      "cutoff_hit_rate", "memo_hits"});
+  util::TextTable table({"Jobs", "Solver", "Makespan", "vs best", "Evals", "Cutoff%"});
+  util::CsvTable csv(
+      {"n_jobs", "solver", "score", "ratio_vs_best", "evaluations", "cutoff_hit_rate"});
 
   for (const std::size_t n : {8u, 30u, 60u}) {
     opt::Problem p;
@@ -51,7 +46,6 @@ int main() {
       double score;
       std::size_t evals;
       double cutoff_rate = 0.0;  ///< aborted fraction of evaluator calls
-      std::size_t memo_hits = 0;
     };
     std::vector<Row> rows;
     rows.push_back({"arrival seed", seed_score, 1});
@@ -72,20 +66,6 @@ int main() {
       const auto r = opt::simulated_annealing(p, seed_order, w, config, rng);
       rows.push_back({"simulated annealing", r.score, r.evaluations, cutoff_rate(r.eval)});
     }
-    {
-      util::Rng rng(1);
-      opt::GaConfig config;  // 40 pop x 60 gen + init ~ 2400 evals
-      const auto r = opt::genetic_algorithm(p, seed_order, w, config, rng);
-      rows.push_back(
-          {"genetic algorithm", r.score, r.evaluations, cutoff_rate(r.eval), r.memo_hits});
-    }
-    {
-      util::Rng rng(1);
-      opt::PsoConfig config;  // 24 particles x 80 iters ~ 1900 evals
-      const auto r = opt::particle_swarm(p, seed_order, w, config, rng);
-      rows.push_back(
-          {"particle swarm", r.score, r.evaluations, cutoff_rate(r.eval), r.memo_hits});
-    }
     if (n <= 9) {
       const auto r = opt::branch_and_bound(p, w);
       rows.push_back({r.proven_optimal ? "branch&bound (optimal)" : "branch&bound (capped)",
@@ -100,11 +80,10 @@ int main() {
     for (const auto& r : rows) {
       table.add_row({std::to_string(n), r.name, util::TextTable::num(r.score, 1),
                      util::TextTable::ratio(r.score / best), std::to_string(r.evals),
-                     util::format("%.1f%%", 100.0 * r.cutoff_rate),
-                     std::to_string(r.memo_hits)});
+                     util::format("%.1f%%", 100.0 * r.cutoff_rate)});
       csv.add_row({std::to_string(n), r.name, util::format("%.3f", r.score),
                    util::format("%.4f", r.score / best), std::to_string(r.evals),
-                   util::format("%.4f", r.cutoff_rate), std::to_string(r.memo_hits)});
+                   util::format("%.4f", r.cutoff_rate)});
     }
     table.add_rule();
   }

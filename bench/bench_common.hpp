@@ -4,6 +4,7 @@
 // latency-summary formatting.
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>

@@ -32,10 +32,8 @@
 
 #include "bench_common.hpp"
 #include "opt/branch_and_bound.hpp"
-#include "opt/genetic_algorithm.hpp"
 #include "opt/list_scheduler.hpp"
 #include "opt/local_search.hpp"
-#include "opt/particle_swarm.hpp"
 #include "opt/simulated_annealing.hpp"
 #include "sim/planning_window.hpp"
 #include "util/cli.hpp"
@@ -133,24 +131,6 @@ double plan_sa(const opt::ProblemView& p, util::Rng& rng, std::size_t& evals) {
   return r.score;
 }
 
-double plan_ga(const opt::ProblemView& p, util::Rng& rng, std::size_t& evals) {
-  opt::GaConfig config;
-  config.population = 16;
-  config.generations = 8;
-  const auto r = opt::genetic_algorithm(p, opt::order_spt(p), kWeights, config, rng);
-  evals = r.evaluations;
-  return r.score;
-}
-
-double plan_pso(const opt::ProblemView& p, util::Rng& rng, std::size_t& evals) {
-  opt::PsoConfig config;
-  config.particles = 12;
-  config.iterations = 10;
-  const auto r = opt::particle_swarm(p, opt::order_spt(p), kWeights, config, rng);
-  evals = r.evaluations;
-  return r.score;
-}
-
 /// Best-of-reps seconds for one plan invocation (fresh deterministic rng per
 /// rep so repetitions measure the same work).
 double time_plan(const Solver& solver, const opt::ProblemView& view, std::uint64_t seed,
@@ -184,8 +164,8 @@ int main(int argc, char** argv) {
     sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
   }
 
-  const Solver solvers[] = {{"list", plan_list}, {"bnb", plan_bnb},   {"local", plan_local},
-                            {"sa", plan_sa},     {"ga", plan_ga},     {"pso", plan_pso}};
+  const Solver solvers[] = {
+      {"list", plan_list}, {"bnb", plan_bnb}, {"local", plan_local}, {"sa", plan_sa}};
 
   std::printf(
       "Optimizer-layer scaling over Heterogeneous Mix deep queues, windowed\n"

@@ -31,9 +31,7 @@ void register_methods(harness::MethodRegistry& registry) {
        .is_llm = false,
        .params =
            {{"budget", "int", std::to_string(defaults.sa.iterations),
-             "Simulated-annealing iterations per full replan, or `auto` for the "
-             "profile-guided tuner (wall-clock probe sizes SA/LS budgets to ~40ms per "
-             "replan; machine-dependent, not run-to-run reproducible)."},
+             "Simulated-annealing iterations per full replan."},
             {"ls_evals", "int", std::to_string(defaults.local_search_evals),
              "Local-search evaluations per full replan."},
             {"bnb_threshold", "int", std::to_string(defaults.bnb_threshold),
@@ -55,13 +53,8 @@ void register_methods(harness::MethodRegistry& registry) {
              const harness::ParamReader params(spec);
              OptimizingSchedulerConfig config;
              config.seed = seed;
-             if (const std::string* budget = spec.find_param("budget");
-                 budget != nullptr && *budget == "auto") {
-               config.auto_budget = true;
-             } else {
-               config.sa.iterations = static_cast<std::size_t>(
-                   params.get_int("budget", static_cast<long long>(config.sa.iterations)));
-             }
+             config.sa.iterations = static_cast<std::size_t>(
+                 params.get_int("budget", static_cast<long long>(config.sa.iterations)));
              config.local_search_evals = static_cast<std::size_t>(params.get_int(
                  "ls_evals", static_cast<long long>(config.local_search_evals)));
              config.bnb_threshold = static_cast<std::size_t>(params.get_int(

@@ -18,7 +18,7 @@ struct HttpExchange {
 /// Transport = "take this POST, give me the response body". Production code
 /// plugs libcurl or a vendor SDK here; tests plug canned JSON. Keeping the
 /// transport out of the library is what makes the whole client testable
-/// offline (the repro environment has no network access - see DESIGN.md).
+/// offline (no network access needed - see ARCHITECTURE.md "Substitutions").
 using HttpTransport = std::function<std::string(const HttpExchange&)>;
 
 /// The two provider wire formats the paper used (Section 3.3):

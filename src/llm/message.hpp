@@ -11,7 +11,7 @@ namespace reasched::llm {
 /// backends ignore it and consume only Request::prompt; the simulated
 /// reasoner uses it so it never has to parse English back out of the prompt.
 /// This is the one documented seam between "real" and "simulated" LLMs
-/// (DESIGN.md, Substitutions).
+/// (ARCHITECTURE.md, "Substitutions").
 struct PromptContext {
   const sim::DecisionContext* decision = nullptr;
   /// Total scratchpad entries so far (context growth drives token counts).

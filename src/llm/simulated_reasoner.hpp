@@ -9,8 +9,8 @@
 
 namespace reasched::llm {
 
-/// The offline stand-in for a hosted reasoning model (see DESIGN.md,
-/// Substitutions). Implements the same Client interface a real HTTP backend
+/// The offline stand-in for a hosted reasoning model (see ARCHITECTURE.md,
+/// "Substitutions"). Implements the same Client interface a real HTTP backend
 /// would: takes a rendered prompt, returns ReAct-formatted text
 /// ("Thought: ...\nAction: ...") plus latency and token accounting.
 ///

@@ -188,6 +188,18 @@ void IncrementalEvaluator::record_pending(std::size_t index, const State& s) {
   pending_checkpoints_[index].heap = heap_;
 }
 
+void IncrementalEvaluator::finish_pending(const std::vector<std::size_t>& order, std::size_t d,
+                                          const State& s, double score) {
+  if (order.size() % stride_ == 0 && order.size() >= d) {
+    record_pending(order.size() / stride_, s);
+  }
+  pending_base_ = order;
+  pending_n_checkpoints_ = order.size() / stride_ + 1;
+  pending_final_ = s;
+  pending_score_ = score;
+  pending_valid_ = true;
+}
+
 bool IncrementalEvaluator::commit_last() {
   if (!pending_valid_) return false;
   base_.swap(pending_base_);
@@ -307,7 +319,7 @@ IncrementalEvaluator::Result IncrementalEvaluator::score_with_cutoff(
   // without re-decoding it. Same record-before-place schedule as score().
   pending_first_ck_ = (d + stride_ - 1) / stride_;
   for (; pos < order.size(); ++pos) {
-    if (commit_tracking_ && pos % stride_ == 0 && pos >= d) record_pending(pos / stride_, s);
+    if (pos % stride_ == 0 && pos >= d) record_pending(pos / stride_, s);
     place(s, order[pos]);
     // Bound cadence: testing every placement costs ~10% of the decode while
     // aborts overwhelmingly fire deep in the suffix, so probe every fourth
@@ -331,16 +343,7 @@ IncrementalEvaluator::Result IncrementalEvaluator::score_with_cutoff(
   }
   const double got = exact_score(s);
   check_exact(order, got);
-  if (commit_tracking_) {
-    if (order.size() % stride_ == 0 && order.size() >= d) {
-      record_pending(order.size() / stride_, s);
-    }
-    pending_base_ = order;
-    pending_n_checkpoints_ = order.size() / stride_ + 1;
-    pending_final_ = s;
-    pending_score_ = got;
-    pending_valid_ = true;
-  }
+  finish_pending(order, d, s, got);
   return {got, true};
 }
 
@@ -356,23 +359,12 @@ IncrementalEvaluator::Result IncrementalEvaluator::resume_exact(
   // Continue the aborted call's record-before-place checkpoint schedule so a
   // subsequent commit_last() adopts the full trajectory.
   for (; pos < order.size(); ++pos) {
-    if (commit_tracking_ && pos % stride_ == 0 && pos >= resume_d_) {
-      record_pending(pos / stride_, s);
-    }
+    if (pos % stride_ == 0 && pos >= resume_d_) record_pending(pos / stride_, s);
     place(s, order[pos]);
   }
   const double got = exact_score(s);
   check_exact(order, got);
-  if (commit_tracking_) {
-    if (order.size() % stride_ == 0 && order.size() >= resume_d_) {
-      record_pending(order.size() / stride_, s);
-    }
-    pending_base_ = order;
-    pending_n_checkpoints_ = order.size() / stride_ + 1;
-    pending_final_ = s;
-    pending_score_ = got;
-    pending_valid_ = true;
-  }
+  finish_pending(order, resume_d_, s, got);
   return {got, true};
 }
 

@@ -128,12 +128,6 @@ class IncrementalEvaluator {
   /// of the remaining suffix instead of re-decoding from the divergence.
   Result resume_exact(const std::vector<std::size_t>& order);
 
-  /// Solvers that never commit_last (GA/PSO evaluate diverse populations and
-  /// re-anchoring on any one member buys nothing) can switch off the
-  /// pending-trajectory recording score_with_cutoff does per candidate,
-  /// saving the order copy and checkpoint snapshots. Scores are unaffected.
-  void set_commit_tracking(bool on) { commit_tracking_ = on; }
-
   std::size_t base_length() const { return base_.size(); }
   const EvalStats& stats() const { return stats_; }
 
@@ -214,6 +208,10 @@ class IncrementalEvaluator {
   std::size_t load_checkpoint(std::size_t index, State& s);
   void record_checkpoint(std::size_t index, const State& s);
   void record_pending(std::size_t index, const State& s);
+  /// Completes the pending trajectory of an exactly scored candidate whose
+  /// decode diverged from the base at `d`, so commit_last() can adopt it.
+  void finish_pending(const std::vector<std::size_t>& order, std::size_t d, const State& s,
+                      double score);
   double full_oracle(const std::vector<std::size_t>& order) const;
   void check_exact(const std::vector<std::size_t>& order, double got) const;
   void check_abort(const std::vector<std::size_t>& order, double lb, double cutoff,
@@ -258,7 +256,6 @@ class IncrementalEvaluator {
   State pending_final_;
   double pending_score_ = 0.0;
   bool pending_valid_ = false;
-  bool commit_tracking_ = true;
 
   /// Snapshot taken when score_with_cutoff aborts, from which resume_exact
   /// decodes the remaining tail. heap_ itself is the live heap at the abort

@@ -1,7 +1,6 @@
 #include "opt/optimizing_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -23,10 +22,6 @@ void OptimizingScheduler::reset() {
   replans_ = 0;
   eval_totals_ = EvalStats{};
   bnb_nodes_ = 0;
-  tuned_sa_iterations_ = 0;
-  tuned_ls_evals_ = 0;
-  tuned_for_n_ = 0;
-  probe_sink_ = 0.0;
   last_thought_.clear();
 }
 
@@ -46,50 +41,6 @@ std::vector<std::pair<std::string, double>> OptimizingScheduler::obs_counters() 
           {"opt/bnb_nodes", static_cast<double>(bnb_nodes_)}};
 }
 
-void OptimizingScheduler::tune_budget(const ProblemView& problem) {
-  const std::size_t n = problem.n_jobs();
-  // A calibration stays valid while the queue size is within 2x: per-eval
-  // cost is roughly linear in the decoded suffix, and the clamp absorbs the
-  // rest. Avoids paying the probe on every replan.
-  if (tuned_for_n_ != 0 && n <= tuned_for_n_ * 2 && tuned_for_n_ <= n * 2) return;
-
-  std::size_t evals = 1;
-  double elapsed_us = 1.0;
-  if (n >= 2) {
-    IncrementalEvaluator eval(problem, config_.weights, config_.eval);
-    std::vector<std::size_t> order = order_by_arrival(problem);
-    // LINT-ALLOW(wallclock): the opt-in budget=auto calibration probe deliberately measures
-    // real eval cost to size metaheuristic budgets to a wall-clock target (see ARCHITECTURE.md).
-    const auto t0 = std::chrono::steady_clock::now();
-    probe_sink_ += eval.score(order);
-    // Representative candidates: single adjacent swaps at varied depths,
-    // since the replay + suffix cost an SA/LS candidate pays depends on
-    // where it diverges from the cached incumbent.
-    while (evals < 256) {
-      const std::size_t i = (evals * 37) % (n - 1);
-      std::swap(order[i], order[i + 1]);
-      probe_sink_ +=
-          eval.score_with_cutoff(order, IncrementalEvaluator::kNoCutoff, CutoffMode::kGreater)
-              .value;
-      std::swap(order[i], order[i + 1]);
-      ++evals;
-      elapsed_us =
-          // LINT-ALLOW(wallclock): same calibration probe; elapsed time is the measurement.
-          std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (elapsed_us > 2000.0) break;
-    }
-  }
-  eval_totals_.evaluations += evals;  // probe evaluations, kept observable
-  const double us_per_eval = std::max(1e-3, elapsed_us / static_cast<double>(evals));
-  const double target_evals = config_.auto_budget_ms * 1000.0 / us_per_eval;
-  // ~2/3 of the replan budget to SA, the rest across the two LS passes.
-  tuned_sa_iterations_ =
-      static_cast<std::size_t>(std::clamp(target_evals * 0.65, 500.0, 64000.0));
-  tuned_ls_evals_ = static_cast<std::size_t>(std::clamp(target_evals * 0.22, 200.0, 20000.0));
-  tuned_for_n_ = n;
-}
-
 void OptimizingScheduler::full_replan(const ProblemView& problem) {
   ++replans_;
   if (problem.n_jobs() <= config_.bnb_threshold) {
@@ -103,13 +54,6 @@ void OptimizingScheduler::full_replan(const ProblemView& problem) {
                                  problem.n_jobs(), exact.explored,
                                  exact.proven_optimal ? "proven optimal" : "budget-capped");
     return;
-  }
-  std::size_t sa_iterations = config_.sa.iterations;
-  std::size_t ls_evals = config_.local_search_evals;
-  if (config_.auto_budget) {
-    tune_budget(problem);
-    sa_iterations = tuned_sa_iterations_;
-    ls_evals = tuned_ls_evals_;
   }
   // Portfolio: best seed -> local search -> SA -> final polish. A seeded
   // random restart joins the deterministic seeds; it is what makes repeated
@@ -130,8 +74,8 @@ void OptimizingScheduler::full_replan(const ProblemView& problem) {
     }
   }
   SaConfig sa_config = config_.sa;
-  sa_config.iterations = sa_iterations;
   sa_config.eval = config_.eval;
+  const std::size_t ls_evals = config_.local_search_evals;
   auto ls = local_search(problem, std::move(best), config_.weights, ls_evals, config_.eval);
   auto sa = simulated_annealing(problem, std::move(ls.order), config_.weights, sa_config, rng_);
   auto polished =
@@ -142,14 +86,8 @@ void OptimizingScheduler::full_replan(const ProblemView& problem) {
   accumulate_eval(polished.eval);
   priority_.clear();
   for (const std::size_t idx : polished.order) priority_.push_back(problem.job(idx).id);
-  if (config_.auto_budget) {
-    last_thought_ = util::format(
-        "replan: SA portfolio over %zu jobs, objective %.1f (auto budget: sa=%zu ls=%zu)",
-        problem.n_jobs(), polished.score, sa_iterations, ls_evals);
-  } else {
-    last_thought_ = util::format("replan: SA portfolio over %zu jobs, objective %.1f",
-                                 problem.n_jobs(), polished.score);
-  }
+  last_thought_ = util::format("replan: SA portfolio over %zu jobs, objective %.1f",
+                               problem.n_jobs(), polished.score);
   insertions_since_reopt_ = 0;
 }
 

@@ -34,20 +34,13 @@ struct OptimizingSchedulerConfig {
   /// portfolio (incremental=false restores the naive full-decode pipeline;
   /// cross_check=true runs the per-candidate differential oracle).
   EvalPolicy eval;
-  /// Profile-guided SA/local-search budget tuning (`opt:portfolio?
-  /// budget=auto`): a short wall-clock probe measures evaluations/sec on
-  /// the live queue and sizes the metaheuristic budgets to auto_budget_ms
-  /// per replan. Wall-clock-driven, hence machine-dependent and NOT
-  /// run-to-run reproducible - keep it off (the default) for golden paths.
-  bool auto_budget = false;
-  double auto_budget_ms = 40.0;
   /// Differential-oracle mode (tests/test_opt_golden.cpp): plan over the
   /// copying Problem::from_context snapshot instead of the zero-copy
   /// ProblemView. Decisions must be bit-identical when window.top_k == 0.
   bool copy_problem_oracle = false;
 };
 
-/// The OR-Tools stand-in (see DESIGN.md "Substitutions"): computes
+/// The OR-Tools stand-in (see ARCHITECTURE.md "Substitutions"): computes
 /// near-optimal offline schedules for the currently known queue and executes
 /// them as a priority order through the simulator, re-planning as jobs
 /// arrive. Like the paper's OR-Tools baseline it optimizes makespan/packing
@@ -72,7 +65,6 @@ class OptimizingScheduler final : public sim::Scheduler {
  private:
   void full_replan(const ProblemView& problem);
   void insert_new_jobs(const ProblemView& problem);
-  void tune_budget(const ProblemView& problem);
   void accumulate_eval(const EvalStats& stats);
 
   OptimizingSchedulerConfig config_;
@@ -87,12 +79,6 @@ class OptimizingScheduler final : public sim::Scheduler {
   /// portfolio ran; never read back into planning.
   EvalStats eval_totals_;
   std::size_t bnb_nodes_ = 0;
-  /// budget=auto calibration state (valid while the queue size stays within
-  /// 2x of tuned_for_n_).
-  std::size_t tuned_sa_iterations_ = 0;
-  std::size_t tuned_ls_evals_ = 0;
-  std::size_t tuned_for_n_ = 0;
-  double probe_sink_ = 0.0;
   std::string last_thought_;
 };
 

@@ -5,9 +5,10 @@
 
 namespace reasched::opt {
 
-/// Piecewise-constant (nodes, memory) usage over time. Used to validate
-/// planned schedules instant-by-instant and by tests as an independent
-/// oracle against the fast list-schedule decoder.
+/// Piecewise-constant (nodes, memory) usage over time. A test oracle:
+/// tests replay planned schedules and engine runs through it to check
+/// capacity instant-by-instant, independently of the fast list-schedule
+/// decoder. Nothing in src/ validates plans with it.
 class ResourceProfile {
  public:
   ResourceProfile(int total_nodes, double total_memory_gb);

@@ -14,7 +14,7 @@ namespace reasched::workload {
 /// module provides (a) a statistically Polaris-like raw-trace generator in
 /// the shape of the public job-history logs, and (b) the paper's exact
 /// preprocessing pipeline, which also accepts a real trace CSV if one is
-/// available. See DESIGN.md "Substitutions" for the fidelity argument.
+/// available. See ARCHITECTURE.md "Substitutions" for the fidelity argument.
 ///
 /// Raw-trace columns:
 ///   JOB_NAME, USER, GROUP, SUBMIT_TIMESTAMP, START_TIMESTAMP,

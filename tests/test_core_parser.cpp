@@ -12,6 +12,11 @@ struct ParseCase {
   rs::Action expected;
 };
 
+// Without a printer gtest names each case by the struct's raw bytes, which
+// hold ASLR-dependent pointers and padding, so the listed test names (and the
+// CTest names discovered from them) changed on every build.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserTable : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParserTable, ParsesAsExpected) {

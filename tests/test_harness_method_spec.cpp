@@ -173,6 +173,8 @@ TEST(MethodRegistry, UnknownKeyRejectedWithAcceptedList) {
 TEST(MethodRegistry, IllTypedValuesRejected) {
   expect_spec_error([] { rh::make_scheduler(rh::MethodSpec("opt:portfolio?budget=soon"), 1); },
                     {"budget", "integer", "soon"});
+  expect_spec_error([] { rh::make_scheduler(rh::MethodSpec("opt:portfolio?budget=auto"), 1); },
+                    {"budget", "integer", "auto"});
   expect_spec_error(
       [] { rh::make_scheduler(rh::MethodSpec("agent:claude37?scratchpad=maybe"), 1); },
       {"scratchpad", "boolean", "maybe"});

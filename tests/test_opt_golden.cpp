@@ -13,11 +13,9 @@
 #include <vector>
 
 #include "opt/branch_and_bound.hpp"
-#include "opt/genetic_algorithm.hpp"
 #include "opt/list_scheduler.hpp"
 #include "opt/local_search.hpp"
 #include "opt/optimizing_scheduler.hpp"
-#include "opt/particle_swarm.hpp"
 #include "opt/simulated_annealing.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -40,7 +38,7 @@ void expect_same_plan(const ro::PlannedSchedule& got, const ro::PlannedSchedule&
   EXPECT_EQ(got.total_wait, want.total_wait);
 }
 
-/// Runs all six solvers on both problem representations at each decision
+/// Runs every solver on both problem representations at each decision
 /// point (bounded count/queue size to keep the suite fast) and asserts
 /// bitwise-identical plans, then advances the simulation FCFS-style.
 class SolverDifferentialProbe final : public rs::Scheduler {
@@ -78,8 +76,8 @@ class SolverDifferentialProbe final : public rs::Scheduler {
       EXPECT_EQ(ls_view.score, ls_oracle.score);
       EXPECT_EQ(ls_view.evaluations, ls_oracle.evaluations);
 
-      // Stochastic solvers: identical seeds must give identical streams,
-      // because the data they evaluate is bitwise identical.
+      // Stochastic solver: identical seeds must give identical streams,
+      // because the data it evaluates is bitwise identical.
       {
         ro::SaConfig config;
         config.iterations = 250;
@@ -89,28 +87,6 @@ class SolverDifferentialProbe final : public rs::Scheduler {
         EXPECT_EQ(a.order, b.order);
         EXPECT_EQ(a.score, b.score);
         EXPECT_EQ(a.accepted_moves, b.accepted_moves);
-      }
-      {
-        ro::GaConfig config;
-        config.population = 10;
-        config.generations = 6;
-        ru::Rng rng_a(compared_ + 1000), rng_b(compared_ + 1000);
-        const auto a = ro::genetic_algorithm(view, spt, weights, config, rng_a);
-        const auto b = ro::genetic_algorithm(oracle_view, spt, weights, config, rng_b);
-        EXPECT_EQ(a.order, b.order);
-        EXPECT_EQ(a.score, b.score);
-        EXPECT_EQ(a.evaluations, b.evaluations);
-      }
-      {
-        ro::PsoConfig config;
-        config.particles = 8;
-        config.iterations = 8;
-        ru::Rng rng_a(compared_ + 2000), rng_b(compared_ + 2000);
-        const auto a = ro::particle_swarm(view, spt, weights, config, rng_a);
-        const auto b = ro::particle_swarm(oracle_view, spt, weights, config, rng_b);
-        EXPECT_EQ(a.order, b.order);
-        EXPECT_EQ(a.score, b.score);
-        EXPECT_EQ(a.evaluations, b.evaluations);
       }
     }
 

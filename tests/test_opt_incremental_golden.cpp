@@ -12,11 +12,9 @@
 #include <numeric>
 
 #include "opt/branch_and_bound.hpp"
-#include "opt/genetic_algorithm.hpp"
 #include "opt/incremental.hpp"
 #include "opt/list_scheduler.hpp"
 #include "opt/local_search.hpp"
-#include "opt/particle_swarm.hpp"
 #include "opt/simulated_annealing.hpp"
 #include "util/rng.hpp"
 
@@ -289,43 +287,6 @@ TEST_P(SolverDifferential, SimulatedAnnealing) {
   EXPECT_EQ(checked.accepted_moves, fast.accepted_moves);
 }
 
-TEST_P(SolverDifferential, GeneticAlgorithm) {
-  ro::GaConfig config;
-  config.population = 20;
-  config.generations = 15;
-  reasched::util::Rng r1(42), r2(42), r3(42);
-  config.eval = kIncremental;
-  const auto fast = ro::genetic_algorithm(view_, seed_, weights_, config, r1);
-  config.eval = kNaive;
-  const auto naive = ro::genetic_algorithm(view_, seed_, weights_, config, r2);
-  EXPECT_EQ(fast.order, naive.order);
-  EXPECT_EQ(fast.score, naive.score);
-  EXPECT_EQ(fast.evaluations, naive.evaluations);
-  EXPECT_EQ(fast.memo_hits, naive.memo_hits);
-  config.eval = kCrossChecked;
-  const auto checked = ro::genetic_algorithm(view_, seed_, weights_, config, r3);
-  EXPECT_EQ(checked.order, fast.order);
-}
-
-TEST_P(SolverDifferential, ParticleSwarm) {
-  ro::PsoConfig config;
-  config.particles = 12;
-  config.iterations = 25;
-  reasched::util::Rng r1(42), r2(42), r3(42);
-  config.eval = kIncremental;
-  const auto fast = ro::particle_swarm(view_, seed_, weights_, config, r1);
-  config.eval = kNaive;
-  const auto naive = ro::particle_swarm(view_, seed_, weights_, config, r2);
-  EXPECT_EQ(fast.order, naive.order);
-  EXPECT_EQ(fast.score, naive.score);
-  EXPECT_EQ(fast.evaluations, naive.evaluations);
-  EXPECT_EQ(fast.memo_hits, naive.memo_hits);
-  config.eval = kCrossChecked;
-  const auto checked = ro::particle_swarm(view_, seed_, weights_, config, r3);
-  EXPECT_EQ(checked.order, fast.order);
-  EXPECT_EQ(checked.score, fast.score);
-}
-
 TEST_P(SolverDifferential, BranchAndBound) {
   ro::BnbConfig config;
   config.max_nodes = 20000;
@@ -347,37 +308,3 @@ TEST_P(SolverDifferential, BranchAndBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferential, ::testing::Range<std::uint64_t>(0, 8));
-
-// ---------------------------------------------------------------------------
-// Satellite: memoized duplicate-candidate handling in GA/PSO.
-
-TEST(CandidateMemo, GaCountsDuplicatesOnce) {
-  // Two jobs -> two permutations; a 30-member population must mostly hit the
-  // memo, and every duplicate is served without a decoder evaluation.
-  ro::Problem p;
-  p.total_nodes = 256;
-  p.total_memory_gb = 2048;
-  p.jobs = {make_job(1, 128, 64, 100), make_job(2, 64, 32, 50)};
-  ro::GaConfig config;
-  config.population = 30;
-  config.generations = 5;
-  reasched::util::Rng rng(3);
-  const auto r = ro::genetic_algorithm(ro::ProblemView(p), {0, 1}, mixed_weights(), config, rng);
-  EXPECT_GT(r.memo_hits, 0u);
-  EXPECT_LE(r.evaluations, 3u);  // seed + at most the two distinct orders
-  EXPECT_EQ(r.eval.evaluations, r.evaluations);
-}
-
-TEST(CandidateMemo, PsoCountsDuplicatesOnce) {
-  ro::Problem p;
-  p.total_nodes = 256;
-  p.total_memory_gb = 2048;
-  p.jobs = {make_job(1, 128, 64, 100), make_job(2, 64, 32, 50), make_job(3, 200, 16, 75)};
-  ro::PsoConfig config;
-  config.particles = 16;
-  config.iterations = 20;
-  reasched::util::Rng rng(4);
-  const auto r = ro::particle_swarm(ro::ProblemView(p), {0, 1, 2}, mixed_weights(), config, rng);
-  EXPECT_GT(r.memo_hits, 0u);
-  EXPECT_LE(r.evaluations, 7u);  // seed + at most 3! distinct permutations
-}

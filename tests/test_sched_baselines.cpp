@@ -2,7 +2,6 @@
 
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
-#include "sched/random_scheduler.hpp"
 #include "sched/sjf.hpp"
 #include "sim/engine.hpp"
 
@@ -149,31 +148,10 @@ TEST(EasyBackfill, SolvesAdversarialConvoy) {
   EXPECT_GT(fcfs_result.find(3).end_time, result.find(3).end_time);
 }
 
-TEST(RandomScheduler, OnlyProposesFeasibleActions) {
-  CtxFixture f;
-  f.cluster.allocate(make_job(99, 250, 100, 1000), 0.0);
-  f.waiting = {make_job(1, 100, 1, 50), make_job(2, 3, 1, 50), make_job(3, 4, 1, 50)};
-  rc::RandomScheduler random(7);
-  for (int i = 0; i < 50; ++i) {
-    const auto action = random.decide(f.ctx());
-    ASSERT_EQ(action.type, rs::ActionType::kStartJob);
-    EXPECT_NE(action.job_id, 1);  // 100 nodes never fit
-  }
-}
-
-TEST(RandomScheduler, DelaysWhenNothingFits) {
-  CtxFixture f;
-  f.cluster.allocate(make_job(99, 256, 100, 1000), 0.0);
-  f.waiting = {make_job(1, 1, 1, 50)};
-  rc::RandomScheduler random(7);
-  EXPECT_EQ(random.decide(f.ctx()), rs::Action::delay());
-}
-
 TEST(Schedulers, NamesAreStable) {
   EXPECT_EQ(rc::FcfsScheduler().name(), "FCFS");
   EXPECT_EQ(rc::SjfScheduler().name(), "SJF");
   EXPECT_EQ(rc::EasyBackfillScheduler().name(), "EASY-Backfill");
-  EXPECT_EQ(rc::RandomScheduler(1).name(), "Random");
 }
 
 TEST(EasyBackfill, LateTimeToleranceAdmitsBackfill) {
