@@ -37,13 +37,13 @@ int main() {
       const double per_job = o.n_successful > 0
                                  ? o.total_elapsed_s / static_cast<double>(o.n_successful)
                                  : 0.0;
-      table.add_row({std::to_string(n), harness::method_name(model),
+      table.add_row({std::to_string(n), harness::method_label(model),
                      util::format_duration(o.total_elapsed_s),
                      util::TextTable::num(per_job, 2),
                      util::TextTable::num(outcome.metrics.makespan, 0),
                      util::TextTable::num(outcome.metrics.avg_wait, 1),
                      util::TextTable::num(outcome.metrics.wait_fairness, 3)});
-      csv.add_row({std::to_string(n), harness::method_name(model),
+      csv.add_row({std::to_string(n), harness::method_label(model),
                    util::format("%.3f", o.total_elapsed_s), util::format("%.4f", per_job),
                    util::format("%.3f", outcome.metrics.makespan),
                    util::format("%.3f", outcome.metrics.avg_wait),

@@ -40,12 +40,12 @@ int main() {
     const auto jobs = workload::generate_scenario(scenario, 60, 8088);
     for (const auto& method : methods) {
       const auto outcome = harness::run_method(jobs, method, 8088);
-      table.add_row({util::TextTable::num(factor, 1), harness::method_name(method),
+      table.add_row({util::TextTable::num(factor, 1), harness::method_label(method),
                      util::TextTable::num(outcome.metrics.avg_wait, 1),
                      util::TextTable::num(outcome.metrics.makespan, 0),
                      util::TextTable::num(outcome.metrics.node_util, 3),
                      std::to_string(outcome.schedule.n_backfills)});
-      csv.add_row({util::format("%.1f", factor), harness::method_name(method),
+      csv.add_row({util::format("%.1f", factor), harness::method_label(method),
                    util::format("%.3f", outcome.metrics.avg_wait),
                    util::format("%.3f", outcome.metrics.makespan),
                    util::format("%.5f", outcome.metrics.node_util),

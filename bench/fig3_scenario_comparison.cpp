@@ -21,8 +21,8 @@ int main() {
                       "six scenarios x five methods, Poisson arrivals, 2 repetitions");
 
   harness::SweepConfig config;
-  // The figure-3 panel as spec strings - same cells and seeds as the enum
-  // list it replaces (canonical specs label as the legacy display names).
+  // The figure-3 panel: the paper scenarios without Heterogeneous Mix, which
+  // the scalability analysis covers (Section 3.6).
   config.scenarios = {"homog_short", "long_job", "high_parallel",
                       "resource_sparse", "bursty_idle", "adversarial"};
   config.job_counts = {60};
@@ -38,7 +38,7 @@ int main() {
     std::vector<metrics::MethodResult> rows;
     for (const auto method : config.methods) {
       const auto& agg = groups.at({scenario, 60, method});
-      rows.push_back({harness::method_name(method), agg.mean_set()});
+      rows.push_back({harness::method_label(method), agg.mean_set()});
     }
     std::printf("--- %s ---\n%s\n", workload::scenario_label(scenario).c_str(),
                 workload::ScenarioRegistry::instance().at(scenario.base.name).doc.c_str());

@@ -20,7 +20,7 @@ int main() {
                       "normalized to FCFS per size; series per metric below");
 
   harness::SweepConfig config;
-  config.scenarios = {workload::Scenario::kHeterogeneousMix};
+  config.scenarios = {"hetero_mix"};
   config.job_counts = workload::paper_job_counts();
   config.methods = harness::paper_methods();
   config.repetitions = 2;
@@ -35,9 +35,8 @@ int main() {
   for (const auto n : config.job_counts) {
     std::vector<metrics::MethodResult> rows;
     for (const auto method : config.methods) {
-      rows.push_back({harness::method_name(method),
-                      groups.at({workload::Scenario::kHeterogeneousMix, n, method})
-                          .mean_set()});
+      rows.push_back(
+          {harness::method_label(method), groups.at({"hetero_mix", n, method}).mean_set()});
     }
     std::printf("--- %zu jobs ---\n%s\n", n,
                 metrics::render_normalized_table(rows, "FCFS").c_str());
@@ -60,13 +59,10 @@ int main() {
     for (const auto n : config.job_counts) header.push_back(std::to_string(n));
     util::TextTable series(std::move(header));
     for (const auto method : config.methods) {
-      std::vector<std::string> cells = {harness::method_name(method)};
+      std::vector<std::string> cells = {harness::method_label(method)};
       for (const auto n : config.job_counts) {
-        const auto& baseline =
-            groups.at({workload::Scenario::kHeterogeneousMix, n, harness::Method::kFcfs})
-                .mean_set();
-        const auto& mine =
-            groups.at({workload::Scenario::kHeterogeneousMix, n, method}).mean_set();
+        const auto& baseline = groups.at({"hetero_mix", n, "fcfs"}).mean_set();
+        const auto& mine = groups.at({"hetero_mix", n, method}).mean_set();
         const auto norm = metrics::normalize(mine, baseline, metric);
         cells.push_back(norm.defined ? util::TextTable::num(norm.value, 2)
                                      : util::TextTable::na());

@@ -26,8 +26,7 @@ int main() {
       "Figure 5 - overhead per workload (60 jobs, successful calls only)",
       "simulated API latencies; elapsed = sum of successful-call latencies");
 
-  // Panels assembled from spec strings (same cells as the enum lists they
-  // replace); a parameterized variant is now a one-line edit here.
+  // Panels as spec strings; a parameterized variant is a one-line edit here.
   const std::vector<workload::ScenarioSpec> scenarios = {
       "homog_short", "long_job",   "high_parallel", "resource_sparse",
       "bursty_idle", "adversarial", "hetero_mix"};
@@ -48,7 +47,7 @@ int main() {
       elapsed[scenario][model] = o.total_elapsed_s;
 
       std::vector<std::string> cells = {workload::scenario_label(scenario),
-                                        harness::method_name(model),
+                                        harness::method_label(model),
                                         util::format_duration(o.total_elapsed_s),
                                         std::to_string(o.n_calls),
                                         std::to_string(o.n_successful)};
@@ -56,7 +55,7 @@ int main() {
       table.add_row(std::move(cells));
 
       const auto box = util::box_stats(o.latencies);
-      csv.add_row({workload::scenario_label(scenario), harness::method_name(model),
+      csv.add_row({workload::scenario_label(scenario), harness::method_label(model),
                    util::format("%.3f", o.total_elapsed_s), std::to_string(o.n_calls),
                    std::to_string(o.n_successful),
                    util::format("%.3f", util::mean(o.latencies)),

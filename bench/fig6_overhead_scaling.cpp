@@ -38,13 +38,13 @@ int main() {
       const auto& o = outcome.overhead.value();
       elapsed_series[model].push_back(o.total_elapsed_s);
 
-      std::vector<std::string> cells = {std::to_string(n), harness::method_name(model),
+      std::vector<std::string> cells = {std::to_string(n), harness::method_label(model),
                                         util::format_duration(o.total_elapsed_s),
                                         std::to_string(o.n_calls),
                                         std::to_string(o.n_successful)};
       for (auto& c : bench::latency_stat_cells(o.latencies)) cells.push_back(std::move(c));
       table.add_row(std::move(cells));
-      csv.add_row({std::to_string(n), harness::method_name(model),
+      csv.add_row({std::to_string(n), harness::method_label(model),
                    util::format("%.3f", o.total_elapsed_s), std::to_string(o.n_calls),
                    std::to_string(o.n_successful),
                    util::format("%.3f", util::mean(o.latencies)),
@@ -60,7 +60,7 @@ int main() {
     const auto& series = elapsed_series[model];
     const double growth = series[2] > 0 ? series.back() / series[2] : 0.0;
     std::printf("%s: elapsed grows %.1fx from 40 to 100 jobs (linear would be 2.5x)\n",
-                harness::method_name(model).c_str(), growth);
+                harness::method_label(model).c_str(), growth);
   }
 
   const std::string path = bench::results_path("fig6_overhead_scaling.csv");

@@ -15,7 +15,7 @@
 #include "metrics/aggregate.hpp"
 #include "metrics/normalize.hpp"
 #include "util/csv.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace reasched;
 
@@ -25,11 +25,10 @@ int main() {
       "box statistics of FCFS-normalized metrics across repeated runs");
 
   constexpr std::size_t kReps = 5;
-  const auto jobs = workload::make_generator(workload::Scenario::kHeterogeneousMix)
-                        ->generate(100, 424242);
+  const auto jobs = workload::generate_scenario("hetero_mix", 100, 424242);
 
   // FCFS is deterministic: one run defines the normalization baseline.
-  const auto baseline = harness::run_method(jobs, harness::Method::kFcfs, 1).metrics;
+  const auto baseline = harness::run_method(jobs, "fcfs", 1).metrics;
 
   util::TextTable table(
       {"Metric", "Method", "Min", "Q1", "Median", "Q3", "Max", "Mean", "StdDev"});
@@ -43,7 +42,7 @@ int main() {
       aggregates[method].add(outcome.metrics);
       for (const auto metric : metrics::all_metrics()) {
         const auto norm = metrics::normalize(outcome.metrics, baseline, metric);
-        csv.add_row({metrics::to_string(metric), harness::method_name(method),
+        csv.add_row({metrics::to_string(metric), harness::method_label(method),
                      std::to_string(rep), util::format("%.6f", outcome.metrics.get(metric)),
                      util::format("%.6f", norm.value)});
       }
@@ -58,7 +57,7 @@ int main() {
         for (auto& v : values) v /= base;
       }
       const auto box = util::box_stats(values);
-      table.add_row({metrics::to_string(metric), harness::method_name(method),
+      table.add_row({metrics::to_string(metric), harness::method_label(method),
                      util::TextTable::num(box.min, 3), util::TextTable::num(box.q1, 3),
                      util::TextTable::num(box.median, 3), util::TextTable::num(box.q3, 3),
                      util::TextTable::num(box.max, 3), util::TextTable::num(box.mean, 3),
@@ -75,10 +74,8 @@ int main() {
   };
   std::printf("Wait-fairness stddev across reps: FCFS %.4f | SJF %.4f | OR-Tools* %.4f | "
               "Claude %.4f | O4 %.4f\n",
-              fairness_std(harness::Method::kFcfs), fairness_std(harness::Method::kSjf),
-              fairness_std(harness::Method::kOrTools),
-              fairness_std(harness::Method::kClaude37),
-              fairness_std(harness::Method::kO4Mini));
+              fairness_std("fcfs"), fairness_std("sjf"), fairness_std("opt:portfolio"),
+              fairness_std("agent:claude37"), fairness_std("agent:o4mini"));
 
   const std::string path = bench::results_path("fig7_robustness.csv");
   csv.save(path);

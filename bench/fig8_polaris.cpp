@@ -37,10 +37,10 @@ int main() {
   std::vector<metrics::MethodResult> rows;
   for (const auto& method : harness::paper_methods()) {
     const auto outcome = harness::run_method(jobs, method, 20241101, engine);
-    rows.push_back({harness::method_name(method), outcome.metrics});
+    rows.push_back({harness::method_label(method), outcome.metrics});
     if (outcome.overhead) {
       std::printf("%-12s: %zu LLM calls, %.0f s simulated API time\n",
-                  harness::method_name(method).c_str(), outcome.overhead->n_calls,
+                  harness::method_label(method).c_str(), outcome.overhead->n_calls,
                   outcome.overhead->total_elapsed_s);
     }
   }

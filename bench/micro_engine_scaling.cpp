@@ -40,7 +40,7 @@
 #include "sim/reference_engine.hpp"
 #include "util/cli.hpp"
 #include "util/string_utils.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace reasched;
 
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
   bool all_match = true;
   std::vector<double> rep_off_s(reps, 0.0), rep_on_s(reps, 0.0);
   for (const std::size_t n : sizes) {
-    const auto jobs =
-        workload::make_generator(workload::Scenario::kHeterogeneousMix)->generate(n, seed);
+    const auto jobs = workload::generate_scenario("hetero_mix", n, seed);
 
     const auto scheduler = make_scheduler(scheduler_name);
     sim::Engine engine(config);

@@ -36,7 +36,7 @@
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 #include "util/string_utils.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 #include "workload/polaris.hpp"
 #include "workload/swf.hpp"
 
@@ -117,8 +117,7 @@ int main(int argc, char** argv) {
   bool all_match = true;
   for (auto& v : variants) {
     for (const std::size_t n : sizes) {
-      const auto jobs =
-          workload::make_generator(workload::Scenario::kHeterogeneousMix)->generate(n, seed);
+      const auto jobs = workload::generate_scenario("hetero_mix", n, seed);
       sim::Engine engine(config);
 
       sim::ScheduleResult indexed_result;
@@ -155,10 +154,9 @@ int main(int argc, char** argv) {
     std::printf("  %14s  %10s  %12s  %10s  %12s\n", "method", "wall (s)", "jobs/s",
                 "decisions", "decisions/s");
 
-    for (const harness::Method method :
-         {harness::Method::kFcfs, harness::Method::kSjf, harness::Method::kEasyBackfill}) {
+    for (const harness::MethodSpec method : {"fcfs", "sjf", "easy"}) {
       harness::SweepConfig sweep;
-      sweep.scenarios = {workload::Scenario::kHeterogeneousMix};  // label only
+      sweep.scenarios = {"hetero_mix"};  // label only
       sweep.job_counts = {trace_jobs};
       sweep.methods = {method};
       sweep.base_seed = seed;
@@ -181,7 +179,7 @@ int main(int argc, char** argv) {
         completed += outcome.schedule.completed.size();
       }
       std::printf("  %14s  %10.2f  %12.0f  %12zu  %12.0f\n",
-                  harness::method_name(method).c_str(), s, static_cast<double>(completed) / s,
+                  harness::method_label(method).c_str(), s, static_cast<double>(completed) / s,
                   decisions, static_cast<double>(decisions) / s);
     }
   }

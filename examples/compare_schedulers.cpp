@@ -33,7 +33,6 @@
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
-#include "workload/generator.hpp"
 #include "workload/scenario_spec.hpp"
 
 using namespace reasched;
@@ -49,8 +48,7 @@ void print_usage(std::ostream& os, const char* argv0) {
      << "  --scenario SPEC    Workload scenario spec: a registered base with optional\n"
      << "                     parameters (hetero_mix?walltime_noise=1.0:3.0), a weighted\n"
      << "                     mix(spec:weight,...), and/or '|'-piped transforms\n"
-     << "                     (bursty_idle|stretch?load=1.5). Legacy aliases (hetmix,\n"
-     << "                     sparse, ...) still work. Default: hetero_mix\n"
+     << "                     (bursty_idle|stretch?load=1.5). Default: hetero_mix\n"
      << "  --jobs N           Jobs to generate (default: 60)\n"
      << "  --seed N           Base seed for the sweep's per-cell seed derivation\n"
      << "                     (default: 42; numbers differ from pre-harness versions\n"
@@ -77,10 +75,8 @@ void print_usage(std::ostream& os, const char* argv0) {
      << "  --help             Show this message\n";
 }
 
-/// Accepts both the legacy aliases (hetmix, sparse, ...) and full scenario
-/// specs, validated against the registry before any cell runs.
+/// A scenario spec, validated against the registry before any cell runs.
 workload::ScenarioSpec parse_scenario_arg(const std::string& arg) {
-  if (const auto legacy = workload::scenario_from_string(arg)) return *legacy;
   const auto spec = workload::ScenarioSpec::parse(arg);
   workload::ScenarioRegistry::instance().validate(spec);
   return spec;
@@ -131,8 +127,8 @@ int main(int argc, char** argv) {
     }
   }
   if (args.has("extensions")) {  // composes with --method panels too
-    config.methods.push_back(harness::Method::kEasyBackfill);
-    config.methods.push_back(harness::Method::kFastLocal);
+    config.methods.push_back("easy");
+    config.methods.push_back("agent:fastlocal");
   }
   // The sweep's duplicate-spec dedup, applied up front so the printed table
   // has one column per method, matching the one cell the grid actually ran.
@@ -190,14 +186,14 @@ int main(int argc, char** argv) {
   for (const auto& method : config.methods) {
     const auto& [cell_metrics, overhead] =
         outcomes.at(harness::Cell{scenario, n_jobs, method, 0});
-    rows.push_back({harness::method_name(method), cell_metrics});
+    rows.push_back({harness::method_label(method), cell_metrics});
     if (overhead) {
       std::printf("  %-12s %3zu LLM calls, %.0f s simulated API time\n",
-                  harness::method_name(method).c_str(), overhead->n_calls,
+                  harness::method_label(method).c_str(), overhead->n_calls,
                   overhead->total_elapsed_s);
     }
   }
-  const std::string anchor = harness::method_name(config.methods.front());
+  const std::string anchor = harness::method_label(config.methods.front());
   std::printf("\nAll metrics normalized to %s = 1.0 (lower is better for "
               "makespan/wait/turnaround; higher for the rest; n/a = undefined 0/0):\n\n%s",
               anchor.c_str(),

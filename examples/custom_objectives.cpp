@@ -14,7 +14,7 @@
 #include "metrics/report.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace reasched;
 
@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
   custom.temperament.w_utilization = args.get_double("utilization", 0.20);
   custom.temperament.w_makespan = args.get_double("makespan", 0.10);
 
-  const auto jobs =
-      workload::make_generator(workload::Scenario::kLongJobDominant)->generate(n_jobs, seed);
+  const auto jobs = workload::generate_scenario("long_job", n_jobs, seed);
 
   sim::Engine engine;
   std::vector<metrics::MethodResult> rows;

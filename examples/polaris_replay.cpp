@@ -70,12 +70,12 @@ int main(int argc, char** argv) {
     const auto results = harness::run_sweep(sweep);
     for (const auto& method : harness::paper_methods()) {  // presentation order
       const harness::Cell cell{sweep.scenarios[0], jobs.size(), method, 0};
-      rows.push_back({harness::method_name(method), results.at(cell).metrics});
+      rows.push_back({harness::method_label(method), results.at(cell).metrics});
     }
   } else {
     for (const auto& method : harness::paper_methods()) {
       const auto outcome = harness::run_method(jobs, method, seed, engine);
-      rows.push_back({harness::method_name(method), outcome.metrics});
+      rows.push_back({harness::method_label(method), outcome.metrics});
     }
   }
   std::printf("Normalized performance on the Polaris trace (FCFS = 1.0):\n\n%s",

@@ -13,7 +13,7 @@
 #include "util/cli.hpp"
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace reasched;
 
@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
 
   // 1. Generate a workload: the paper's Heterogeneous Mix scenario with
   //    Poisson arrivals on the default 256-node / 2048 GB cluster.
-  const auto generator = workload::make_generator(workload::Scenario::kHeterogeneousMix);
-  const auto jobs = generator->generate(n_jobs, seed);
+  const workload::ScenarioSpec scenario = "hetero_mix";
+  const auto jobs = workload::generate_scenario(scenario, n_jobs, seed);
   std::printf("Generated %zu jobs for scenario '%s'\n\n", jobs.size(),
-              generator->name().c_str());
+              workload::scenario_label(scenario).c_str());
 
   // 2. Build the ReAct scheduling agent (simulated Claude 3.7 backend) and
   //    run it through the discrete-event simulator.

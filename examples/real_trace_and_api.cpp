@@ -16,7 +16,7 @@
 #include "llm/http_client.hpp"
 #include "metrics/report.hpp"
 #include "util/cli.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 #include "workload/swf.hpp"
 
 using namespace reasched;
@@ -37,9 +37,7 @@ int main(int argc, char** argv) {
   } else {
     // Round-trip a synthetic workload through the SWF format to demonstrate
     // the exact path a real archive trace would take.
-    const auto synthetic =
-        workload::make_generator(workload::Scenario::kHeterogeneousMix)
-            ->generate(n_jobs, 77);
+    const auto synthetic = workload::generate_scenario("hetero_mix", n_jobs, 77);
     const std::string swf_text = workload::jobs_to_swf(synthetic);
     jobs = workload::parse_swf(swf_text);
     std::printf("Round-tripped %zu synthetic jobs through SWF (no --swf given)\n",
@@ -49,7 +47,7 @@ int main(int argc, char** argv) {
   std::vector<metrics::MethodResult> rows;
   for (const harness::MethodSpec method : {"fcfs", "easy", "agent:claude37"}) {
     const auto outcome = harness::run_method(jobs, method, 77);
-    rows.push_back({harness::method_name(method), outcome.metrics});
+    rows.push_back({harness::method_label(method), outcome.metrics});
   }
   std::printf("\nSWF replay, normalized to FCFS:\n%s\n",
               metrics::render_normalized_table(rows, "FCFS").c_str());
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
   // force progress - handy for demonstrating that the system stays safe even
   // against a completely unhelpful model.
   const auto result = engine.run(
-      workload::make_generator(workload::Scenario::kResourceSparse)->generate(3, 5),
+      workload::generate_scenario("resource_sparse", 3, 5),
       agent);
   std::printf("Completed %zu jobs with %zu forced starts despite a Delay-only model.\n",
               result.completed.size(), result.n_forced_delays);

@@ -10,7 +10,7 @@
 #include "core/factory.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace reasched;
 
@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const bool use_o4 = args.get("model", "claude") == "o4";
 
-  const auto jobs =
-      workload::make_generator(workload::Scenario::kAdversarial)->generate(n_jobs, seed);
+  const auto jobs = workload::generate_scenario("adversarial", n_jobs, seed);
   auto agent = use_o4 ? core::make_o4mini_agent(seed) : core::make_claude37_agent(seed);
 
   sim::Engine engine;

@@ -127,7 +127,7 @@ std::string run_to_json(const RunOutcome& outcome, const std::string& method_nam
 }
 
 std::string run_to_json(const RunOutcome& outcome, const MethodSpec& method) {
-  return run_to_json_impl(outcome, method_name(method), &method);
+  return run_to_json_impl(outcome, method_label(method), &method);
 }
 
 std::string run_to_json(const RunOutcome& outcome, const char* method_name_or_spec) {
@@ -136,7 +136,7 @@ std::string run_to_json(const RunOutcome& outcome, const char* method_name_or_sp
 
 std::string run_to_json(const RunOutcome& outcome, const MethodSpec& method,
                         const workload::ScenarioSpec& scenario) {
-  return run_to_json_impl(outcome, method_name(method), &method, &scenario);
+  return run_to_json_impl(outcome, method_label(method), &method, &scenario);
 }
 
 void save_run_json(const RunOutcome& outcome, const std::string& method_name,

@@ -14,7 +14,7 @@ namespace {
 /// reasoning tokens and per-decision scoring flat as trace queues deepen,
 /// while preserving the arrival-ordered queue view the prompt reasons over.
 /// The registered *default* stays unbounded (top_k = 0) so the canonical
-/// paper panel remains bit-identical to the enum era.
+/// paper panel keeps its recorded results bit-identical.
 sim::PlanningWindow trace_default_window() {
   sim::PlanningWindow w;
   w.top_k = 32;

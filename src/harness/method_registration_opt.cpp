@@ -11,7 +11,7 @@ namespace {
 /// configuration bench/micro_opt_scaling gates (>200x decisions/sec over the
 /// unbounded path at 10k waiting jobs with no measurable plan-quality loss
 /// at bench budgets). The registered *default* stays unbounded (top_k = 0)
-/// so the canonical paper panel remains bit-identical to the enum era.
+/// so the canonical paper panel keeps its recorded results bit-identical.
 sim::PlanningWindow trace_default_window() {
   sim::PlanningWindow w;
   w.top_k = 64;

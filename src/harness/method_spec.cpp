@@ -8,25 +8,6 @@
 
 namespace reasched::harness {
 
-namespace {
-
-std::string canonical_name(Method m) {
-  switch (m) {
-    case Method::kFcfs: return "fcfs";
-    case Method::kSjf: return "sjf";
-    case Method::kOrTools: return "opt:portfolio";
-    case Method::kClaude37: return "agent:claude37";
-    case Method::kO4Mini: return "agent:o4mini";
-    case Method::kEasyBackfill: return "easy";
-    case Method::kFastLocal: return "agent:fastlocal";
-  }
-  throw std::invalid_argument("MethodSpec: unknown Method enumerator");
-}
-
-}  // namespace
-
-MethodSpec::MethodSpec(Method m) : name(canonical_name(m)) {}
-
 MethodSpec::MethodSpec(const std::string& spec) : MethodSpec(parse(spec)) {}
 
 MethodSpec::MethodSpec(const char* spec) : MethodSpec(parse(spec)) {}

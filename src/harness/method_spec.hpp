@@ -17,22 +17,6 @@
 
 namespace reasched::harness {
 
-/// Compatibility shim over the string-keyed method registry below: the
-/// closed enum the harness exposed before specs existed. Each enumerator
-/// maps to its canonical `MethodSpec` (see `MethodSpec(Method)`), so enum
-/// call sites keep compiling and keep producing bit-identical runs, but new
-/// scheduler variants never require touching this list - they are just new
-/// registry entries and spec strings.
-enum class Method {
-  kFcfs,
-  kSjf,
-  kOrTools,   ///< optimization baseline (OR-Tools substitute, src/opt)
-  kClaude37,  ///< ReAct agent, Claude 3.7 profile
-  kO4Mini,    ///< ReAct agent, O4-Mini profile
-  kEasyBackfill,
-  kFastLocal,
-};
-
 /// Thrown for every user-input error in the spec layer: spec-string grammar
 /// violations, unknown method names, unknown or ill-typed parameters. The
 /// message always names the offending spec/key and what would be accepted.
@@ -57,14 +41,12 @@ class MethodSpecError : public std::invalid_argument {
 /// ill-typed values are rejected with actionable errors), not at parse time,
 /// so specs can be constructed for methods registered later. Ordering and
 /// equality are value semantics over (name, params) - a `MethodSpec` is a
-/// grid-axis key everywhere the harness used to key by `Method`.
+/// grid-axis key.
 struct MethodSpec {
   std::string name;
   std::map<std::string, std::string> params;
 
   MethodSpec() = default;
-  /// Enum shim: the canonical, parameter-free spec of a paper-panel method.
-  MethodSpec(Method m);  // NOLINT(google-explicit-constructor)
   /// Parsing constructors so spec literals drop in wherever a method is
   /// expected (`config.methods = {"fcfs", "opt:portfolio?window=sjf:64"}`).
   /// Throw MethodSpecError on grammar violations.

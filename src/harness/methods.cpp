@@ -3,12 +3,10 @@
 namespace reasched::harness {
 
 const std::vector<MethodSpec>& paper_methods() {
-  static const std::vector<MethodSpec> v = {Method::kFcfs, Method::kSjf, Method::kOrTools,
-                                            Method::kClaude37, Method::kO4Mini};
+  static const std::vector<MethodSpec> v = {"fcfs", "sjf", "opt:portfolio", "agent:claude37",
+                                            "agent:o4mini"};
   return v;
 }
-
-std::string method_name(const MethodSpec& spec) { return method_label(spec); }
 
 bool is_llm_method(const MethodSpec& spec) {
   return MethodRegistry::instance().at(spec.name).is_llm;

@@ -9,21 +9,13 @@
 
 namespace reasched::harness {
 
-/// The method layer's public surface, now spec-keyed: every function takes a
-/// `MethodSpec`, and the legacy `Method` enum (declared in method_spec.hpp)
-/// converts implicitly to its canonical spec, so enum call sites keep
-/// working unchanged while string specs unlock parameterized variants
-/// (`opt:portfolio?budget=2000&window=sjf:64`) everywhere a method goes.
+/// The method layer's public surface: every function takes a `MethodSpec`,
+/// and spec strings convert implicitly, so parameterized variants
+/// (`opt:portfolio?budget=2000&window=sjf:64`) go everywhere a method goes.
 
 /// The five methods of Figures 3/4/7/8, in presentation order, as their
 /// canonical (parameter-free) specs.
 const std::vector<MethodSpec>& paper_methods();
-
-/// Presentation label (`FCFS`, `OR-Tools*`, `Claude 3.7?window=arrival:32`).
-/// Identical to the pre-registry labels for every canonical spec, which
-/// keeps `cell_seed` derivations - and therefore all recorded results -
-/// bit-identical across the redesign.
-std::string method_name(const MethodSpec& spec);
 
 /// Does the method drive an LLM client (overhead accounting applies)?
 bool is_llm_method(const MethodSpec& spec);

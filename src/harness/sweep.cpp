@@ -21,8 +21,8 @@ std::vector<sim::Job> cell_jobs(const SweepConfig& config,
                                 const workload::ScenarioSpec& scenario, std::size_t n_jobs,
                                 std::size_t repetition) {
   // Seeds derive from the scenario *label*, which for the seven canonical
-  // paper specs is the legacy enum display name - so every recorded result
-  // survives the enum -> spec rekey bit-identically.
+  // paper specs is the pre-registry display name - so every recorded result
+  // stays bit-identical.
   const std::uint64_t workload_seed = util::derive_seed(
       util::derive_seed(config.base_seed, workload::scenario_label(scenario), n_jobs), "rep",
       repetition);
@@ -37,7 +37,7 @@ std::vector<sim::Job> cell_jobs(const SweepConfig& config,
 
 std::uint64_t cell_seed(const SweepConfig& config, const Cell& cell) {
   return util::derive_seed(
-      util::derive_seed(config.base_seed, method_name(cell.method), cell.n_jobs),
+      util::derive_seed(config.base_seed, method_label(cell.method), cell.n_jobs),
       workload::scenario_label(cell.scenario), cell.repetition + 1);
 }
 
@@ -69,8 +69,8 @@ void sweep_cells(const SweepConfig& config, Consume&& consume) {
              std::tie(o.scenario, o.n_jobs, o.repetition);
     }
   };
-  // Dedup both spec axes by value: the same spec listed twice (e.g. the
-  // enum shim and its string form assembled from different sources) is one
+  // Dedup both spec axes by value: the same spec listed twice (e.g. a
+  // literal and a parsed copy assembled from different sources) is one
   // axis value, not two identical cells fighting over one result key.
   const std::vector<MethodSpec> methods = dedup_methods(config.methods);
   const std::vector<workload::ScenarioSpec> scenarios =

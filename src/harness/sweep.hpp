@@ -6,7 +6,6 @@
 
 #include "harness/experiment.hpp"
 #include "metrics/aggregate.hpp"
-#include "workload/generator.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace reasched::harness {
@@ -14,12 +13,11 @@ namespace reasched::harness {
 /// One cell of an experiment grid. Both axes are specs: the method axis is
 /// a `MethodSpec` and the scenario axis a `workload::ScenarioSpec`, so
 /// windowed/budgeted scheduler variants and perturbed/mixed/piped workload
-/// variants are distinct cells like any other axis value (the legacy
-/// `Method` / `workload::Scenario` enums still convert implicitly).
+/// variants are distinct cells like any other axis value.
 struct Cell {
-  workload::ScenarioSpec scenario = workload::Scenario::kHeterogeneousMix;
+  workload::ScenarioSpec scenario = "hetero_mix";
   std::size_t n_jobs = 60;
-  MethodSpec method = Method::kFcfs;
+  MethodSpec method = "fcfs";
   std::size_t repetition = 0;
 };
 

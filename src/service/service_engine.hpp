@@ -22,7 +22,7 @@ namespace reasched::service {
 /// arrival stream. A snapshot is exactly this config plus the op log - the
 /// deterministic-replay checkpoint model (see snapshot.hpp).
 struct ServiceConfig {
-  harness::MethodSpec method = harness::Method::kFcfs;
+  harness::MethodSpec method = "fcfs";
   sim::EngineConfig engine;
   std::uint64_t seed = 0;
   /// Streamed arrival source; `stream.batch_jobs == 0` means none (clients

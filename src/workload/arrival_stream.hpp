@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/job.hpp"
-#include "workload/generator.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace reasched::workload {

@@ -12,19 +12,6 @@ namespace reasched::workload {
 
 namespace {
 
-std::string canonical_name(Scenario s) {
-  switch (s) {
-    case Scenario::kHomogeneousShort: return "homog_short";
-    case Scenario::kHeterogeneousMix: return "hetero_mix";
-    case Scenario::kLongJobDominant: return "long_job";
-    case Scenario::kHighParallelism: return "high_parallel";
-    case Scenario::kResourceSparse: return "resource_sparse";
-    case Scenario::kBurstyIdle: return "bursty_idle";
-    case Scenario::kAdversarial: return "adversarial";
-  }
-  throw std::invalid_argument("ScenarioSpec: unknown Scenario enumerator");
-}
-
 /// Weights print in std::to_chars' shortest round-trip form ("0.2" stays
 /// "0.2", full precision kept when needed), so parse(to_string()) preserves
 /// the exact double - the canonical string is the cell's durable identity
@@ -94,8 +81,6 @@ const std::string* ScenarioStage::find_param(const std::string& key) const {
   const auto it = params.find(key);
   return it == params.end() ? nullptr : &it->second;
 }
-
-ScenarioSpec::ScenarioSpec(Scenario s) { base.name = canonical_name(s); }
 
 ScenarioSpec::ScenarioSpec(const std::string& spec) : ScenarioSpec(parse(spec)) {}
 
@@ -601,11 +586,6 @@ std::vector<ScenarioSpec> dedup_scenarios(const std::vector<ScenarioSpec>& scena
     if (seen.insert(scenario).second) unique.push_back(scenario);
   }
   return unique;
-}
-
-const std::vector<ScenarioSpec>& paper_scenario_specs() {
-  static const std::vector<ScenarioSpec> v(all_scenarios().begin(), all_scenarios().end());
-  return v;
 }
 
 }  // namespace reasched::workload

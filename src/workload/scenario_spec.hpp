@@ -15,9 +15,27 @@
 #include "sim/job.hpp"
 #include "util/rng.hpp"
 #include "util/spec_grammar.hpp"
-#include "workload/generator.hpp"
 
 namespace reasched::workload {
+
+/// How submit times are assigned (Section 3.1 vs Section 3.3).
+enum class ArrivalMode {
+  kPoisson,  ///< dynamic arrivals, scenario-specific rate (scenario studies)
+  kStatic,   ///< all jobs at t=0 (the static formulation in 3.3)
+};
+
+/// Generation context shared by every scenario.
+struct GenerateOptions {
+  ArrivalMode arrival_mode = ArrivalMode::kPoisson;
+  sim::ClusterSpec cluster = sim::ClusterSpec::paper_default();
+  /// Walltime-estimate noise: users over-request walltime by a factor drawn
+  /// uniformly from [min, max] of the true runtime. 1.0/1.0 keeps estimates
+  /// exact (the paper's setup); >1 models the estimate unreliability that
+  /// runtime-prediction literature (cited in the paper's related work)
+  /// studies - it degrades walltime-driven schedulers (SJF, EASY).
+  double walltime_factor_min = 1.0;
+  double walltime_factor_max = 1.0;
+};
 
 /// The scenario axis as data - the mirror image of `harness::MethodSpec`.
 /// A spec is a base workload source followed by an optional pipeline of
@@ -38,10 +56,10 @@ namespace reasched::workload {
 /// rejected as ambiguous with the weight separator, and the canonical
 /// serializer always writes the encoded form. (A component whose *final*
 /// raw-colon value doubles as a plausible weight - `a?load=2:3` - parses
-/// as load=2 with weight 3; when in doubt, encode.) Parameters are typed and validated when the
-/// registry generates the workload, not at parse time. Ordering and
-/// equality are value semantics, so a ScenarioSpec is a grid-axis key
-/// everywhere the harness used to key by the `workload::Scenario` enum.
+/// as load=2 with weight 3; when in doubt, encode.) Parameters are typed and
+/// validated when the registry generates the workload, not at parse time.
+/// Ordering and equality are value semantics, so a ScenarioSpec is a
+/// grid-axis key.
 
 /// Thrown for every user-input error in the scenario-spec layer: grammar
 /// violations, unknown scenario/transform names, unknown or ill-typed
@@ -79,8 +97,6 @@ struct ScenarioSpec {
   std::vector<ScenarioStage> pipeline;
 
   ScenarioSpec() = default;
-  /// Enum shim: the canonical, parameter-free spec of a paper scenario.
-  ScenarioSpec(Scenario s);  // NOLINT(google-explicit-constructor)
   /// Parsing constructors so spec literals drop in wherever a scenario is
   /// expected (`config.scenarios = {"bursty_idle", "mix(long_job:0.2,...)"}`).
   /// Throw ScenarioSpecError on grammar violations.
@@ -139,9 +155,9 @@ class StageParamReader {
 };
 
 /// One registered base workload source: canonical name, display label
-/// (matches the legacy `workload::to_string(Scenario)` for the seven paper
-/// scenarios, which keeps every derived seed bit-identical), declared
-/// parameters and the generator turning (stage, n, seed, options) into jobs.
+/// (for the seven paper scenarios the pre-registry names, which key every
+/// derived seed), declared parameters and the generator turning (stage, n,
+/// seed, options) into jobs.
 struct ScenarioInfo {
   std::string name;           ///< canonical registry key, e.g. "hetero_mix"
   std::string display_label;  ///< presentation label, e.g. "Heterogeneous Mix"
@@ -232,10 +248,9 @@ sim::ClusterSpec effective_cluster(const ScenarioSpec& spec, sim::ClusterSpec ba
 /// Presentation label: the registry display label plus the parameter/
 /// pipeline suffix for a plain registered base (`Heterogeneous Mix`,
 /// `Bursty + Idle?rate_scale=2`); the canonical spec string for everything
-/// else (mix, pipelines, unregistered labels). Identical to the legacy
-/// `workload::to_string(Scenario)` for the seven canonical specs, which
-/// keeps `cell_jobs`/`cell_seed` derivations - and therefore all recorded
-/// results - bit-identical across the redesign.
+/// else (mix, pipelines, unregistered labels). The seven canonical specs
+/// label as the pre-registry names, which keeps `cell_jobs`/`cell_seed`
+/// derivations - and therefore all recorded results - bit-identical.
 std::string scenario_label(const ScenarioSpec& spec);
 
 /// Drop later duplicates (value equality), preserving first-seen order -
@@ -244,5 +259,8 @@ std::vector<ScenarioSpec> dedup_scenarios(const std::vector<ScenarioSpec>& scena
 
 /// The seven paper scenarios as their canonical specs, presentation order.
 const std::vector<ScenarioSpec>& paper_scenario_specs();
+
+/// The paper's queue-size sweep [10, 20, 40, 60, 80, 100] (Section 3.1).
+const std::vector<std::size_t>& paper_job_counts();
 
 }  // namespace reasched::workload

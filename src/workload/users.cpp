@@ -13,11 +13,14 @@ std::vector<double> zipf_weights(int n, double s) {
   return w;
 }
 
-void assign_users(std::vector<sim::Job>& jobs, const UserModel& model, util::Rng& rng) {
-  const auto weights = zipf_weights(model.n_users, model.zipf_s);
+void assign_users(std::vector<sim::Job>& jobs, util::Rng& rng) {
+  constexpr int kUsers = 8;
+  constexpr int kGroups = 3;
+  constexpr double kZipfExponent = 0.8;
+  const auto weights = zipf_weights(kUsers, kZipfExponent);
   for (auto& job : jobs) {
     job.user = static_cast<sim::UserId>(rng.weighted_index(weights)) + 1;
-    job.group = static_cast<sim::GroupId>((job.user - 1) % model.n_groups) + 1;
+    job.group = static_cast<sim::GroupId>((job.user - 1) % kGroups) + 1;
   }
 }
 

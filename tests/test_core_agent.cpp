@@ -4,7 +4,7 @@
 #include "core/react_agent.hpp"
 #include "llm/scripted_client.hpp"
 #include "sim/engine.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rc = reasched::core;
 namespace rl = reasched::llm;
@@ -147,9 +147,7 @@ TEST(ReActAgent, ResetClearsEverything) {
 
 TEST(ReActAgent, FullRunWithSimulatedReasoner) {
   // End-to-end with the simulated Claude backend on a contended workload.
-  const auto jobs = reasched::workload::make_generator(
-                        reasched::workload::Scenario::kHighParallelism)
-                        ->generate(20, 55);
+  const auto jobs = reasched::workload::generate_scenario("high_parallel", 20, 55);
   const auto agent = rc::make_claude37_agent(55);
   rs::Engine engine;
   const auto result = engine.run(jobs, *agent);

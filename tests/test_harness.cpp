@@ -7,14 +7,13 @@ namespace rw = reasched::workload;
 namespace rm = reasched::metrics;
 
 TEST(Methods, NamesAndFactory) {
-  for (const auto m :
-       {rh::Method::kFcfs, rh::Method::kSjf, rh::Method::kOrTools, rh::Method::kClaude37,
-        rh::Method::kO4Mini, rh::Method::kEasyBackfill, rh::Method::kFastLocal}) {
+  for (const char* m : {"fcfs", "sjf", "opt:portfolio", "agent:claude37", "agent:o4mini", "easy",
+                        "agent:fastlocal"}) {
     const auto scheduler = rh::make_scheduler(m, 1);
     ASSERT_NE(scheduler, nullptr);
-    EXPECT_EQ(scheduler->name(), rh::method_name(m));
-    // The enum shim maps onto the registry: the canonical spec string parses
-    // back to the same method and builds the same scheduler type.
+    EXPECT_EQ(scheduler->name(), rh::method_label(m));
+    // The canonical spec string parses back to the same method and builds
+    // the same scheduler type.
     const rh::MethodSpec spec(m);
     const auto via_spec = rh::make_scheduler(rh::MethodSpec::parse(spec.to_string()), 1);
     EXPECT_EQ(via_spec->name(), scheduler->name());
@@ -24,22 +23,21 @@ TEST(Methods, NamesAndFactory) {
 TEST(Methods, PaperSetIsFiveInOrder) {
   const auto& methods = rh::paper_methods();
   ASSERT_EQ(methods.size(), 5u);
-  EXPECT_EQ(methods.front(), rh::MethodSpec(rh::Method::kFcfs));
+  EXPECT_EQ(methods.front(), rh::MethodSpec("fcfs"));
   EXPECT_EQ(methods.front().name, "fcfs");
-  EXPECT_EQ(rh::method_name(methods[2]), "OR-Tools*");
+  EXPECT_EQ(rh::method_label(methods[2]), "OR-Tools*");
   EXPECT_TRUE(rh::is_llm_method(methods[3]));
   EXPECT_TRUE(rh::is_llm_method(methods[4]));
-  EXPECT_FALSE(rh::is_llm_method(rh::Method::kFcfs));
+  EXPECT_FALSE(rh::is_llm_method("fcfs"));
 }
 
 TEST(RunMethod, OverheadOnlyForLlmMethods) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kResourceSparse)->generate(12, 3);
-  const auto fcfs = rh::run_method(jobs, rh::Method::kFcfs, 3);
+  const auto jobs = rw::generate_scenario("resource_sparse", 12, 3);
+  const auto fcfs = rh::run_method(jobs, "fcfs", 3);
   EXPECT_FALSE(fcfs.overhead.has_value());
   EXPECT_EQ(fcfs.schedule.completed.size(), 12u);
 
-  const auto claude = rh::run_method(jobs, rh::Method::kClaude37, 3);
+  const auto claude = rh::run_method(jobs, "agent:claude37", 3);
   ASSERT_TRUE(claude.overhead.has_value());
   EXPECT_EQ(claude.overhead->n_successful, 12u);
   EXPECT_GT(claude.overhead->total_elapsed_s, 0.0);
@@ -49,9 +47,9 @@ TEST(RunMethod, OverheadOnlyForLlmMethods) {
 
 TEST(Sweep, DeterministicAndPaired) {
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kResourceSparse};
+  config.scenarios = {"resource_sparse"};
   config.job_counts = {10};
-  config.methods = {rh::Method::kFcfs, rh::Method::kSjf};
+  config.methods = {"fcfs", "sjf"};
   config.repetitions = 2;
   config.base_seed = 99;
   config.threads = 2;
@@ -67,14 +65,14 @@ TEST(Sweep, DeterministicAndPaired) {
   }
 
   // Paired workloads: both methods see identical jobs per repetition.
-  const auto jobs_a = rh::cell_jobs(config, rw::Scenario::kResourceSparse, 10, 0);
-  const auto jobs_b = rh::cell_jobs(config, rw::Scenario::kResourceSparse, 10, 0);
+  const auto jobs_a = rh::cell_jobs(config, "resource_sparse", 10, 0);
+  const auto jobs_b = rh::cell_jobs(config, "resource_sparse", 10, 0);
   ASSERT_EQ(jobs_a.size(), jobs_b.size());
   for (std::size_t i = 0; i < jobs_a.size(); ++i) {
     EXPECT_DOUBLE_EQ(jobs_a[i].duration, jobs_b[i].duration);
   }
   // Different repetitions draw different workloads.
-  const auto jobs_rep1 = rh::cell_jobs(config, rw::Scenario::kResourceSparse, 10, 1);
+  const auto jobs_rep1 = rh::cell_jobs(config, "resource_sparse", 10, 1);
   bool differs = false;
   for (std::size_t i = 0; i < jobs_a.size() && !differs; ++i) {
     differs = jobs_a[i].duration != jobs_rep1[i].duration;
@@ -84,11 +82,11 @@ TEST(Sweep, DeterministicAndPaired) {
 
 TEST(Sweep, DuplicateMethodSpecsRunOnce) {
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kHomogeneousShort};
+  config.scenarios = {"homog_short"};
   config.job_counts = {8};
-  // The enum shim and its string form are the same method - one cell, not
+  // The same spec written three ways is one method - one cell, not
   // two identical cells fighting over one result key.
-  config.methods = {rh::Method::kFcfs, "fcfs", rh::MethodSpec("fcfs"), rh::Method::kSjf};
+  config.methods = {"fcfs", "fcfs", rh::MethodSpec("fcfs"), "sjf"};
   config.threads = 1;
   const auto results = rh::run_sweep(config);
   EXPECT_EQ(results.size(), 2u);  // fcfs + sjf
@@ -96,18 +94,18 @@ TEST(Sweep, DuplicateMethodSpecsRunOnce) {
 
 TEST(Sweep, CellSeedVariesByMethodAndRep) {
   rh::SweepConfig config;
-  const rh::Cell a{rw::Scenario::kHeterogeneousMix, 10, rh::Method::kClaude37, 0};
-  const rh::Cell b{rw::Scenario::kHeterogeneousMix, 10, rh::Method::kO4Mini, 0};
-  const rh::Cell c{rw::Scenario::kHeterogeneousMix, 10, rh::Method::kClaude37, 1};
+  const rh::Cell a{"hetero_mix", 10, "agent:claude37", 0};
+  const rh::Cell b{"hetero_mix", 10, "agent:o4mini", 0};
+  const rh::Cell c{"hetero_mix", 10, "agent:claude37", 1};
   EXPECT_NE(rh::cell_seed(config, a), rh::cell_seed(config, b));
   EXPECT_NE(rh::cell_seed(config, a), rh::cell_seed(config, c));
 }
 
 TEST(Sweep, AggregateGroupsRepetitions) {
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kHomogeneousShort};
+  config.scenarios = {"homog_short"};
   config.job_counts = {10};
-  config.methods = {rh::Method::kFcfs};
+  config.methods = {"fcfs"};
   config.repetitions = 3;
   config.threads = 1;
   const auto results = rh::run_sweep(config);
@@ -119,15 +117,15 @@ TEST(Sweep, AggregateGroupsRepetitions) {
 TEST(Sweep, StaticModeProducesZeroArrivals) {
   rh::SweepConfig config;
   config.arrival_mode = rw::ArrivalMode::kStatic;
-  const auto jobs = rh::cell_jobs(config, rw::Scenario::kHeterogeneousMix, 8, 0);
+  const auto jobs = rh::cell_jobs(config, "hetero_mix", 8, 0);
   for (const auto& j : jobs) EXPECT_DOUBLE_EQ(j.submit_time, 0.0);
 }
 
 TEST(Sweep, StreamingMatchesRetainingSweep) {
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kResourceSparse, rw::Scenario::kHomogeneousShort};
+  config.scenarios = {"resource_sparse", "homog_short"};
   config.job_counts = {12};
-  config.methods = {rh::Method::kFcfs, rh::Method::kSjf};
+  config.methods = {"fcfs", "sjf"};
   config.repetitions = 2;
   config.base_seed = 7;
   config.threads = 2;

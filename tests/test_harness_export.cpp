@@ -4,7 +4,7 @@
 #include "metrics/gantt.hpp"
 #include "util/json_parser.hpp"
 #include "workload/arrival.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
 namespace rm = reasched::metrics;
@@ -12,14 +12,14 @@ namespace rw = reasched::workload;
 namespace rs = reasched::sim;
 
 namespace {
-rh::RunOutcome sample_outcome(rh::Method method) {
-  const auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(12, 33);
+rh::RunOutcome sample_outcome(const rh::MethodSpec& method) {
+  const auto jobs = rw::generate_scenario("hetero_mix", 12, 33);
   return rh::run_method(jobs, method, 33);
 }
 }  // namespace
 
 TEST(Export, ScheduleCsvShape) {
-  const auto outcome = sample_outcome(rh::Method::kFcfs);
+  const auto outcome = sample_outcome("fcfs");
   const auto csv = rh::schedule_to_csv(outcome.schedule);
   EXPECT_EQ(csv.rows(), 12u);
   EXPECT_TRUE(csv.has_col("wait"));
@@ -34,7 +34,7 @@ TEST(Export, ScheduleCsvShape) {
 }
 
 TEST(Export, DecisionsCsvIncludesRejections) {
-  const auto outcome = sample_outcome(rh::Method::kO4Mini);
+  const auto outcome = sample_outcome("agent:o4mini");
   const auto csv = rh::decisions_to_csv(outcome.schedule);
   EXPECT_GE(csv.rows(), 12u);
   EXPECT_TRUE(csv.has_col("accepted"));
@@ -42,7 +42,7 @@ TEST(Export, DecisionsCsvIncludesRejections) {
 }
 
 TEST(Export, RunJsonParsesBackAndMatches) {
-  const auto outcome = sample_outcome(rh::Method::kClaude37);
+  const auto outcome = sample_outcome("agent:claude37");
   const std::string json = rh::run_to_json(outcome, "Claude 3.7");
   const auto doc = reasched::util::parse_json(json);
 
@@ -56,20 +56,20 @@ TEST(Export, RunJsonParsesBackAndMatches) {
 }
 
 TEST(Export, BaselineRunJsonHasNullOverhead) {
-  const auto outcome = sample_outcome(rh::Method::kSjf);
+  const auto outcome = sample_outcome("sjf");
   const auto doc = reasched::util::parse_json(rh::run_to_json(outcome, "SJF"));
   EXPECT_TRUE(doc.at("overhead").is_null());
   EXPECT_GE(doc.at("counters").at("decisions").as_number(), 12.0);
 }
 
 TEST(Export, OverheadCsv) {
-  const auto outcome = sample_outcome(rh::Method::kClaude37);
+  const auto outcome = sample_outcome("agent:claude37");
   const auto csv = rh::overhead_to_csv(*outcome.overhead, outcome.schedule);
   EXPECT_EQ(csv.rows(), outcome.overhead->latencies.size());
 }
 
 TEST(Gantt, RendersBarsAndUtilization) {
-  const auto outcome = sample_outcome(rh::Method::kFcfs);
+  const auto outcome = sample_outcome("fcfs");
   const std::string gantt =
       rm::render_gantt(outcome.schedule, rs::ClusterSpec::paper_default());
   EXPECT_NE(gantt.find("Gantt: 12 job(s)"), std::string::npos);
@@ -85,8 +85,8 @@ TEST(Gantt, EmptyScheduleHandled) {
 }
 
 TEST(Gantt, RowCapKeepsLargestJobs) {
-  const auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(30, 7);
-  const auto outcome = rh::run_method(jobs, rh::Method::kFcfs, 7);
+  const auto jobs = rw::generate_scenario("hetero_mix", 30, 7);
+  const auto outcome = rh::run_method(jobs, "fcfs", 7);
   rm::GanttOptions options;
   options.max_rows = 5;
   const std::string gantt =
@@ -95,7 +95,7 @@ TEST(Gantt, RowCapKeepsLargestJobs) {
 }
 
 TEST(Gantt, UtilizationProfileBounds) {
-  const auto outcome = sample_outcome(rh::Method::kOrTools);
+  const auto outcome = sample_outcome("opt:portfolio");
   const std::string profile = rm::render_utilization_profile(
       outcome.schedule, rs::ClusterSpec::paper_default(), 40);
   EXPECT_EQ(profile.size(), 40u);
@@ -119,7 +119,7 @@ TEST(WalltimeEnforcement, KillsOverrunningJobs) {
   rs::EngineConfig strict;
   strict.enforce_walltime = true;
   rs::Engine strict_engine(strict);
-  auto fcfs = rh::make_scheduler(rh::Method::kFcfs, 1);
+  auto fcfs = rh::make_scheduler("fcfs", 1);
   const auto killed = strict_engine.run({j}, *fcfs);
   ASSERT_EQ(killed.completed.size(), 1u);
   EXPECT_TRUE(killed.completed[0].killed_at_walltime);
@@ -132,11 +132,11 @@ TEST(WalltimeEnforcement, KillsOverrunningJobs) {
 }
 
 TEST(WalltimeEnforcement, ExactEstimatesUnaffected) {
-  const auto jobs = rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(10, 5);
+  const auto jobs = rw::generate_scenario("homog_short", 10, 5);
   rs::EngineConfig strict;
   strict.enforce_walltime = true;
   rs::Engine engine(strict);
-  auto fcfs = rh::make_scheduler(rh::Method::kFcfs, 1);
+  auto fcfs = rh::make_scheduler("fcfs", 1);
   const auto result = engine.run(jobs, *fcfs);
   for (const auto& c : result.completed) EXPECT_FALSE(c.killed_at_walltime);
 }

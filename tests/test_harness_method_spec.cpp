@@ -6,7 +6,7 @@
 #include "harness/method_spec.hpp"
 #include "harness/sweep.hpp"
 #include "spec_grammar_test_helper.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
 namespace rw = reasched::workload;
@@ -62,9 +62,8 @@ TEST(MethodSpec, ParseParamsAndRoundTrip) {
 }
 
 TEST(MethodSpec, RoundTripEveryCanonicalMethod) {
-  for (const auto m :
-       {rh::Method::kFcfs, rh::Method::kSjf, rh::Method::kOrTools, rh::Method::kClaude37,
-        rh::Method::kO4Mini, rh::Method::kEasyBackfill, rh::Method::kFastLocal}) {
+  for (const char* m : {"fcfs", "sjf", "opt:portfolio", "agent:claude37", "agent:o4mini", "easy",
+                        "agent:fastlocal"}) {
     const rh::MethodSpec spec(m);
     EXPECT_EQ(rh::MethodSpec::parse(spec.to_string()), spec);
   }
@@ -100,7 +99,7 @@ TEST(MethodSpec, OrderingIsValueBased) {
   const rh::MethodSpec windowed("opt:portfolio?window=sjf:64");
   EXPECT_NE(plain, windowed);
   EXPECT_TRUE(plain < windowed || windowed < plain);
-  EXPECT_EQ(plain, rh::MethodSpec(rh::Method::kOrTools));
+  EXPECT_EQ(plain, rh::MethodSpec("opt:portfolio"));
 }
 
 TEST(MethodRegistry, ListsAllBuiltinMethods) {
@@ -204,17 +203,17 @@ TEST(MethodRegistry, WindowGrammar) {
 }
 
 TEST(MethodSpec, LabelsDistinguishVariants) {
-  EXPECT_EQ(rh::method_name(rh::MethodSpec("agent:claude37")), "Claude 3.7");
-  EXPECT_EQ(rh::method_name(rh::MethodSpec("agent:claude37?window=arrival:32")),
+  EXPECT_EQ(rh::method_label(rh::MethodSpec("agent:claude37")), "Claude 3.7");
+  EXPECT_EQ(rh::method_label(rh::MethodSpec("agent:claude37?window=arrival:32")),
             "Claude 3.7?window=arrival:32");
-  EXPECT_EQ(rh::method_name(rh::MethodSpec("opt:portfolio?budget=500&window=sjf:16")),
+  EXPECT_EQ(rh::method_label(rh::MethodSpec("opt:portfolio?budget=500&window=sjf:16")),
             "OR-Tools*?budget=500&window=sjf:16");
   EXPECT_TRUE(rh::is_llm_method(rh::MethodSpec("agent:fastlocal?window=auto")));
   EXPECT_FALSE(rh::is_llm_method(rh::MethodSpec("opt:portfolio?window=auto")));
 }
 
 TEST(MethodSpec, RunMethodAcceptsSpecLiterals) {
-  const auto jobs = rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(8, 5);
+  const auto jobs = rw::generate_scenario("homog_short", 8, 5);
   const auto outcome = rh::run_method(jobs, "agent:claude37?window=arrival:4", 5);
   EXPECT_EQ(outcome.schedule.completed.size(), 8u);
   ASSERT_TRUE(outcome.overhead.has_value());
@@ -238,7 +237,7 @@ TEST(MethodSpec, RunMethodAcceptsSpecLiterals) {
 // involvement anywhere.
 TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kHeterogeneousMix};
+  config.scenarios = {"hetero_mix"};
   config.job_counts = {14};
   config.methods = {"opt:portfolio?budget=60&ls_evals=60&window=sjf:4",
                     "opt:portfolio?budget=60&ls_evals=60&window=sjf:8",
@@ -256,7 +255,7 @@ TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
   EXPECT_EQ(groups.size(), config.methods.size());
 
   for (const auto& method : config.methods) {
-    const rh::Cell cell{rw::Scenario::kHeterogeneousMix, 14, method, 0};
+    const rh::Cell cell{"hetero_mix", 14, method, 0};
     const auto it = results.find(cell);
     ASSERT_NE(it, results.end()) << method.to_string();
     EXPECT_EQ(it->second.schedule.completed.size(), 14u) << method.to_string();
@@ -266,19 +265,19 @@ TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
     const std::string json = rh::run_to_json(it->second, method);
     EXPECT_NE(json.find("\"method_spec\":\"" + method.to_string() + "\""), std::string::npos)
         << json.substr(0, 200);
-    EXPECT_NE(json.find(rh::method_name(method)), std::string::npos);
+    EXPECT_NE(json.find(rh::method_label(method)), std::string::npos);
   }
 
   // The variants are genuinely different methods: distinct seeds via labels.
-  const rh::Cell narrow{rw::Scenario::kHeterogeneousMix, 14, config.methods[0], 0};
-  const rh::Cell wide{rw::Scenario::kHeterogeneousMix, 14, config.methods[1], 0};
+  const rh::Cell narrow{"hetero_mix", 14, config.methods[0], 0};
+  const rh::Cell wide{"hetero_mix", 14, config.methods[1], 0};
   EXPECT_NE(rh::cell_seed(config, narrow), rh::cell_seed(config, wide));
 }
 
 TEST(MethodSpec, WindowUnboundedEqualsCanonicalSpec) {
   // window=0 (explicit unbounded) decides identically to the parameter-free
   // canonical spec - top_k = 0 is the paper semantics either way.
-  const auto jobs = rw::make_generator(rw::Scenario::kResourceSparse)->generate(12, 9);
+  const auto jobs = rw::generate_scenario("resource_sparse", 12, 9);
   const auto base = rh::run_method(jobs, "agent:o4mini", 9);
   const auto windowed = rh::run_method(jobs, "agent:o4mini?window=arrival:0", 9);
   ASSERT_EQ(base.schedule.completed.size(), windowed.schedule.completed.size());

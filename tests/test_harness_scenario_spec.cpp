@@ -63,12 +63,12 @@ TEST(ScenarioSpecSweep, SpecStringAxisThroughStreamingSweepAndExport) {
 
 TEST(ScenarioSpecSweep, DuplicateScenarioSpecsRunOnce) {
   rh::SweepConfig config;
-  // The enum shim and its string form are the same scenario - one axis
-  // value, not two identical cells fighting over one result key.
-  config.scenarios = {rw::Scenario::kHomogeneousShort, "homog_short",
+  // The same spec written three ways is one scenario - one axis value,
+  // not two identical cells fighting over one result key.
+  config.scenarios = {"homog_short", "homog_short",
                       rw::ScenarioSpec("homog_short"), "resource_sparse"};
   config.job_counts = {8};
-  config.methods = {rh::Method::kFcfs};
+  config.methods = {"fcfs"};
   config.threads = 1;
   const auto results = rh::run_sweep(config);
   EXPECT_EQ(results.size(), 2u);  // homog_short + resource_sparse
@@ -79,7 +79,7 @@ TEST(ScenarioSpecSweep, ClusterOverrideReachesEngineAndGeneration) {
   const rw::ScenarioSpec narrow("high_parallel|cluster?nodes=64&memory_gb=512");
   config.scenarios = {narrow};
   config.job_counts = {10};
-  config.methods = {rh::Method::kFcfs};
+  config.methods = {"fcfs"};
   config.base_seed = 9;
   config.threads = 1;
 
@@ -106,7 +106,7 @@ TEST(ScenarioSpecSweep, WorkloadSourceReceivesSpecAndKeepsLabelSemantics) {
   rh::SweepConfig config;
   config.scenarios = {"replay:mytrace"};  // label-only: never hits the registry
   config.job_counts = {6};
-  config.methods = {rh::Method::kFcfs};
+  config.methods = {"fcfs"};
   config.threads = 1;
   std::string seen_label;
   config.workload_source = [&seen_label](const rw::ScenarioSpec& scenario, std::size_t n,

@@ -14,8 +14,8 @@ namespace rm = reasched::metrics;
 namespace rs = reasched::sim;
 
 TEST(Integration, AllScenariosAllPaperMethodsProduceSaneMetrics) {
-  for (const auto scenario : rw::all_scenarios()) {
-    const auto jobs = rw::make_generator(scenario)->generate(16, 11);
+  for (const auto& scenario : rw::paper_scenario_specs()) {
+    const auto jobs = rw::generate_scenario(scenario, 16, 11);
     for (const auto method : rh::paper_methods()) {
       const auto outcome = rh::run_method(jobs, method, 11);
       const auto& m = outcome.metrics;
@@ -37,10 +37,10 @@ TEST(Integration, AllScenariosAllPaperMethodsProduceSaneMetrics) {
 TEST(Integration, LlmAgentsReduceWaitInLongJobDominant) {
   // The paper's headline Long-Job-Dominant claim: FCFS suffers the convoy
   // effect; the LLM agents dramatically reduce average wait and turnaround.
-  const auto jobs = rw::make_generator(rw::Scenario::kLongJobDominant)->generate(40, 21);
-  const auto fcfs = rh::run_method(jobs, rh::Method::kFcfs, 21);
-  const auto claude = rh::run_method(jobs, rh::Method::kClaude37, 21);
-  const auto o4 = rh::run_method(jobs, rh::Method::kO4Mini, 21);
+  const auto jobs = rw::generate_scenario("long_job", 40, 21);
+  const auto fcfs = rh::run_method(jobs, "fcfs", 21);
+  const auto claude = rh::run_method(jobs, "agent:claude37", 21);
+  const auto o4 = rh::run_method(jobs, "agent:o4mini", 21);
   EXPECT_LT(claude.metrics.avg_wait, 0.6 * fcfs.metrics.avg_wait);
   EXPECT_LT(o4.metrics.avg_wait, 0.6 * fcfs.metrics.avg_wait);
   EXPECT_LT(claude.metrics.avg_turnaround, fcfs.metrics.avg_turnaround);
@@ -48,11 +48,10 @@ TEST(Integration, LlmAgentsReduceWaitInLongJobDominant) {
 
 TEST(Integration, OrToolsWinsUtilizationLosesFairnessInHetMix) {
   // The paper's OR-Tools signature (Sections 3.5-3.6).
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(60, 42);
-  const auto fcfs = rh::run_method(jobs, rh::Method::kFcfs, 42);
-  const auto ortools = rh::run_method(jobs, rh::Method::kOrTools, 42);
-  const auto claude = rh::run_method(jobs, rh::Method::kClaude37, 42);
+  const auto jobs = rw::generate_scenario("hetero_mix", 60, 42);
+  const auto fcfs = rh::run_method(jobs, "fcfs", 42);
+  const auto ortools = rh::run_method(jobs, "opt:portfolio", 42);
+  const auto claude = rh::run_method(jobs, "agent:claude37", 42);
   EXPECT_GT(ortools.metrics.node_util, fcfs.metrics.node_util);
   EXPECT_LT(ortools.metrics.makespan, fcfs.metrics.makespan);
   EXPECT_LT(ortools.metrics.wait_fairness, fcfs.metrics.wait_fairness);
@@ -62,9 +61,9 @@ TEST(Integration, OrToolsWinsUtilizationLosesFairnessInHetMix) {
 
 TEST(Integration, AdversarialScenarioFlattensDifferences) {
   // Section 3.5: "Adversarial conditions lead to flattened differences".
-  const auto jobs = rw::make_generator(rw::Scenario::kAdversarial)->generate(40, 5);
-  const auto fcfs = rh::run_method(jobs, rh::Method::kFcfs, 5);
-  for (const auto method : {rh::Method::kSjf, rh::Method::kClaude37}) {
+  const auto jobs = rw::generate_scenario("adversarial", 40, 5);
+  const auto fcfs = rh::run_method(jobs, "fcfs", 5);
+  for (const auto method : {"sjf", "agent:claude37"}) {
     const auto other = rh::run_method(jobs, method, 5);
     EXPECT_NEAR(other.metrics.makespan / fcfs.metrics.makespan, 1.0, 0.05);
     EXPECT_NEAR(other.metrics.throughput / fcfs.metrics.throughput, 1.0, 0.05);
@@ -80,8 +79,8 @@ TEST(Integration, PolarisTraceEndToEnd) {
   std::vector<rm::MethodResult> rows;
   for (const auto method : rh::paper_methods()) {
     const auto outcome = rh::run_method(jobs, method, 11, engine);
-    EXPECT_EQ(outcome.schedule.completed.size(), 50u) << rh::method_name(method);
-    rows.push_back({rh::method_name(method), outcome.metrics});
+    EXPECT_EQ(outcome.schedule.completed.size(), 50u) << rh::method_label(method);
+    rows.push_back({rh::method_label(method), outcome.metrics});
   }
   // The normalized table renders without error and contains every method.
   const std::string table = rm::render_normalized_table(rows, "FCFS");
@@ -93,10 +92,9 @@ TEST(Integration, PolarisTraceEndToEnd) {
 TEST(Integration, FastLocalProfileSlashesOverhead) {
   // Extension (Section 3.7.3): an on-prem fast reasoner makes LLM scheduling
   // latency-viable; decisions stay Claude-like but total elapsed collapses.
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(30, 31);
-  const auto claude = rh::run_method(jobs, rh::Method::kClaude37, 31);
-  const auto fast = rh::run_method(jobs, rh::Method::kFastLocal, 31);
+  const auto jobs = rw::generate_scenario("hetero_mix", 30, 31);
+  const auto claude = rh::run_method(jobs, "agent:claude37", 31);
+  const auto fast = rh::run_method(jobs, "agent:fastlocal", 31);
   ASSERT_TRUE(claude.overhead.has_value());
   ASSERT_TRUE(fast.overhead.has_value());
   EXPECT_LT(fast.overhead->total_elapsed_s * 5.0, claude.overhead->total_elapsed_s);
@@ -106,8 +104,8 @@ TEST(Integration, CallCountsTrackJobCounts) {
   // Figure 5 (middle): LLM call counts approximately equal job count, with
   // slight variation due to backfills/delays.
   for (const std::size_t n : {10u, 20u, 40u}) {
-    const auto jobs = rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(n, 7);
-    const auto outcome = rh::run_method(jobs, rh::Method::kClaude37, 7);
+    const auto jobs = rw::generate_scenario("homog_short", n, 7);
+    const auto outcome = rh::run_method(jobs, "agent:claude37", 7);
     ASSERT_TRUE(outcome.overhead.has_value());
     EXPECT_EQ(outcome.overhead->n_successful, n);
     EXPECT_GE(outcome.overhead->n_calls, n);          // + delays/stop
@@ -116,17 +114,18 @@ TEST(Integration, CallCountsTrackJobCounts) {
 }
 
 TEST(Integration, EasyBackfillBeatsFcfsOnConvoy) {
-  const auto jobs = rw::make_generator(rw::Scenario::kLongJobDominant)->generate(30, 17);
-  const auto fcfs = rh::run_method(jobs, rh::Method::kFcfs, 17);
-  const auto easy = rh::run_method(jobs, rh::Method::kEasyBackfill, 17);
+  const auto jobs = rw::generate_scenario("long_job", 30, 17);
+  const auto fcfs = rh::run_method(jobs, "fcfs", 17);
+  const auto easy = rh::run_method(jobs, "easy", 17);
   EXPECT_LE(easy.metrics.avg_wait, fcfs.metrics.avg_wait);
   EXPECT_LE(easy.metrics.makespan, fcfs.metrics.makespan * 1.001);
 }
 
 TEST(Integration, StaticArrivalFormulationRuns) {
   // Section 3.3's static formulation: all jobs at t=0.
-  const auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)
-                        ->generate(20, 13, rw::ArrivalMode::kStatic);
+  rw::GenerateOptions options;
+  options.arrival_mode = rw::ArrivalMode::kStatic;
+  const auto jobs = rw::generate_scenario("hetero_mix", 20, 13, options);
   for (const auto method : rh::paper_methods()) {
     const auto outcome = rh::run_method(jobs, method, 13);
     EXPECT_EQ(outcome.schedule.completed.size(), 20u);

@@ -1,20 +1,22 @@
-// Behavior-preservation golden for the MethodSpec redesign: for every method
-// of the legacy enum, three construction paths must produce bit-identical
-// RunOutcomes (metrics, full schedule, decision trace, counters, overhead):
+// Behavior-preservation golden for the method axis. Methods are named only
+// by spec strings; for every built-in method two construction paths must
+// produce bit-identical RunOutcomes (metrics, full schedule, decision
+// trace, counters, overhead):
 //
-//   1. the enum shim        run_method(jobs, Method::kX, seed)
-//   2. the parsed spec      run_method(jobs, MethodSpec::parse("..."), seed)
-//   3. a direct-construction oracle replicating the pre-registry
+//   1. the parsed spec      run_method(jobs, MethodSpec::parse("..."), seed)
+//   2. a direct-construction oracle replicating the pre-registry
 //      make_scheduler switch verbatim (FcfsScheduler{}, OptimizingScheduler
 //      with default config + seed, core::make_*_agent(seed)).
 //
-// Path 3 is the real guard: it pins the registered builders to the exact
+// Path 2 is the real guard: it pins the registered builders to the exact
 // defaults the enum era hard-coded, so a drifting registry default cannot
-// silently change recorded results.
+// silently change recorded results. The paper-panel sweep is further
+// pinned by per-cell digests captured from the enum-keyed sweep.
 
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
+#include "golden_digest_test_helper.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/metrics.hpp"
@@ -23,7 +25,7 @@
 #include "sched/fcfs.hpp"
 #include "sched/sjf.hpp"
 #include "sim/engine.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
 namespace rw = reasched::workload;
@@ -34,38 +36,46 @@ namespace {
 
 constexpr std::uint64_t kSeed = 1337;
 
-struct GoldenCase {
-  rh::Method method;
-  const char* canonical_spec;
+const char* const kCanonicalSpecs[] = {
+    "fcfs", "sjf", "opt:portfolio", "agent:claude37", "agent:o4mini", "easy", "agent:fastlocal",
 };
 
-const GoldenCase kCases[] = {
-    {rh::Method::kFcfs, "fcfs"},
-    {rh::Method::kSjf, "sjf"},
-    {rh::Method::kOrTools, "opt:portfolio"},
-    {rh::Method::kClaude37, "agent:claude37"},
-    {rh::Method::kO4Mini, "agent:o4mini"},
-    {rh::Method::kEasyBackfill, "easy"},
-    {rh::Method::kFastLocal, "agent:fastlocal"},
-};
-
-/// The pre-registry make_scheduler switch, preserved verbatim as the oracle.
-std::unique_ptr<sim::Scheduler> legacy_make_scheduler(rh::Method m, std::uint64_t seed) {
-  switch (m) {
-    case rh::Method::kFcfs: return std::make_unique<sched::FcfsScheduler>();
-    case rh::Method::kSjf: return std::make_unique<sched::SjfScheduler>();
-    case rh::Method::kEasyBackfill: return std::make_unique<sched::EasyBackfillScheduler>();
-    case rh::Method::kOrTools: {
-      opt::OptimizingSchedulerConfig config;
-      config.seed = seed;
-      return std::make_unique<opt::OptimizingScheduler>(config);
-    }
-    case rh::Method::kClaude37: return core::make_claude37_agent(seed);
-    case rh::Method::kO4Mini: return core::make_o4mini_agent(seed);
-    case rh::Method::kFastLocal: return core::make_fast_local_agent(seed);
+/// The pre-registry make_scheduler construction, preserved as the oracle and
+/// keyed by canonical name.
+std::unique_ptr<sim::Scheduler> legacy_make_scheduler(const std::string& name,
+                                                      std::uint64_t seed) {
+  if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
+  if (name == "sjf") return std::make_unique<sched::SjfScheduler>();
+  if (name == "easy") return std::make_unique<sched::EasyBackfillScheduler>();
+  if (name == "opt:portfolio") {
+    opt::OptimizingSchedulerConfig config;
+    config.seed = seed;
+    return std::make_unique<opt::OptimizingScheduler>(config);
   }
-  throw std::invalid_argument("legacy_make_scheduler: unknown method");
+  if (name == "agent:claude37") return core::make_claude37_agent(seed);
+  if (name == "agent:o4mini") return core::make_o4mini_agent(seed);
+  if (name == "agent:fastlocal") return core::make_fast_local_agent(seed);
+  throw std::invalid_argument("legacy_make_scheduler: unknown method " + name);
 }
+
+struct PinnedCell {
+  const char* method;
+  std::size_t rep;
+  std::uint64_t digest;
+};
+
+const PinnedCell kPinnedPanel[] = {
+    {"agent:claude37", 0, 0x2e6c839f76d96b87ULL},
+    {"agent:claude37", 1, 0xc1960e44d1f15dd1ULL},
+    {"agent:o4mini", 0, 0x77fe9ee598ede029ULL},
+    {"agent:o4mini", 1, 0xdfba641d13b88b96ULL},
+    {"fcfs", 0, 0x7fd1677062abebb1ULL},
+    {"fcfs", 1, 0x5f7af93c70ef22f8ULL},
+    {"opt:portfolio", 0, 0x1c6495b4aa847db8ULL},
+    {"opt:portfolio", 1, 0x50680511a0ecffe5ULL},
+    {"sjf", 0, 0x7fd1677062abebb1ULL},
+    {"sjf", 1, 0x5f7af93c70ef22f8ULL},
+};
 
 void expect_identical_schedules(const sim::ScheduleResult& a, const sim::ScheduleResult& b,
                                 const std::string& label) {
@@ -116,23 +126,16 @@ void expect_identical_outcomes(const rh::RunOutcome& a, const rh::RunOutcome& b,
 
 }  // namespace
 
-TEST(MethodSpecGolden, EnumSpecAndLegacyConstructionBitIdentical) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(24, kSeed);
+TEST(MethodSpecGolden, SpecAndLegacyConstructionBitIdentical) {
+  const auto jobs = rw::generate_scenario("hetero_mix", 24, kSeed);
   const sim::EngineConfig engine_config;
 
-  for (const auto& test_case : kCases) {
-    const std::string label = test_case.canonical_spec;
-
-    // Enum shim vs parsed spec through the registry.
-    const auto via_enum = rh::run_method(jobs, test_case.method, kSeed, engine_config);
-    const auto via_spec =
-        rh::run_method(jobs, rh::MethodSpec::parse(test_case.canonical_spec), kSeed,
-                       engine_config);
-    expect_identical_outcomes(via_enum, via_spec, label + " (enum vs spec)");
+  for (const char* const name : kCanonicalSpecs) {
+    const std::string label = name;
+    const auto via_spec = rh::run_method(jobs, rh::MethodSpec::parse(name), kSeed, engine_config);
 
     // Registry path vs the pre-registry construction, run outside run_method.
-    const auto scheduler = legacy_make_scheduler(test_case.method, kSeed);
+    const auto scheduler = legacy_make_scheduler(name, kSeed);
     sim::Engine engine(engine_config);
     rh::RunOutcome legacy;
     legacy.schedule = engine.run(jobs, *scheduler);
@@ -146,11 +149,11 @@ TEST(MethodSpecGolden, EnumSpecAndLegacyConstructionBitIdentical) {
 }
 
 TEST(MethodSpecGolden, SweepCellsUnchangedByRedesign) {
-  // The spec-keyed sweep must reproduce the enum-keyed sweep bit-for-bit:
-  // labels (and therefore derived cell seeds), cell enumeration and results
-  // are unchanged for the canonical paper panel.
+  // The spec-keyed sweep must reproduce the enum-keyed sweep bit-for-bit
+  // (pinned per-cell digests): labels (and therefore derived cell seeds),
+  // cell enumeration and results are unchanged for the canonical panel.
   rh::SweepConfig config;
-  config.scenarios = {rw::Scenario::kResourceSparse};
+  config.scenarios = {"resource_sparse"};
   config.job_counts = {12};
   config.methods = rh::paper_methods();
   config.repetitions = 2;
@@ -158,7 +161,13 @@ TEST(MethodSpecGolden, SweepCellsUnchangedByRedesign) {
   config.threads = 2;
 
   const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), 10u);  // 5 methods x 2 reps
+  ASSERT_EQ(results.size(), std::size(kPinnedPanel));  // 5 methods x 2 reps
+  for (const auto& pin : kPinnedPanel) {
+    const auto it = results.find(rh::Cell{"resource_sparse", 12, pin.method, pin.rep});
+    ASSERT_NE(it, results.end()) << pin.method;
+    EXPECT_EQ(reasched::testing::outcome_digest(it->second), pin.digest)
+        << pin.method << " rep=" << pin.rep;
+  }
 
   for (const auto& [cell, outcome] : results) {
     // Re-run the cell standalone from its derived seed: identical outcome.
@@ -166,13 +175,13 @@ TEST(MethodSpecGolden, SweepCellsUnchangedByRedesign) {
     const auto standalone =
         rh::run_method(jobs, cell.method, rh::cell_seed(config, cell), config.engine);
     expect_identical_outcomes(outcome, standalone,
-                              rh::method_name(cell.method) + " standalone");
+                              rh::method_label(cell.method) + " standalone");
   }
 
   // Labels the seed derivation keys off are the pre-redesign strings.
-  EXPECT_EQ(rh::method_name(config.methods[0]), "FCFS");
-  EXPECT_EQ(rh::method_name(config.methods[1]), "SJF");
-  EXPECT_EQ(rh::method_name(config.methods[2]), "OR-Tools*");
-  EXPECT_EQ(rh::method_name(config.methods[3]), "Claude 3.7");
-  EXPECT_EQ(rh::method_name(config.methods[4]), "O4-Mini");
+  EXPECT_EQ(rh::method_label(config.methods[0]), "FCFS");
+  EXPECT_EQ(rh::method_label(config.methods[1]), "SJF");
+  EXPECT_EQ(rh::method_label(config.methods[2]), "OR-Tools*");
+  EXPECT_EQ(rh::method_label(config.methods[3]), "Claude 3.7");
+  EXPECT_EQ(rh::method_label(config.methods[4]), "O4-Mini");
 }

@@ -24,7 +24,7 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
 namespace rm = reasched::metrics;
@@ -50,8 +50,7 @@ bool bit_identical(double a, double b) {
 
 void check_method(const std::string& method) {
   SCOPED_TRACE(method);
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(48, /*seed=*/2025);
+  const auto jobs = rw::generate_scenario("hetero_mix", 48, /*seed=*/2025);
 
   ObsDisableGuard guard;
   ro::set_enabled(false);
@@ -89,8 +88,7 @@ TEST(ObsGolden, AgentUnchangedByTelemetry) { check_method("agent:fastlocal"); }
 // The instrumented run above must actually have instrumented something -
 // otherwise the bit-identical checks pass vacuously on a dead obs path.
 TEST(ObsGolden, TelemetryActuallyRecordsWhenEnabled) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(48, /*seed=*/2025);
+  const auto jobs = rw::generate_scenario("hetero_mix", 48, /*seed=*/2025);
 
   ObsDisableGuard guard;
   ro::MetricRegistry::global().reset();

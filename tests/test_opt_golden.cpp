@@ -19,7 +19,7 @@
 #include "opt/simulated_annealing.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace ro = reasched::opt;
 namespace rs = reasched::sim;
@@ -143,38 +143,34 @@ void run_optimizer_golden(const std::vector<rs::Job>& jobs, const std::string& l
   EXPECT_EQ(view_path.replans(), oracle_path.replans()) << label;
 }
 
-std::vector<rs::Job> scenario_jobs(rw::Scenario scenario, std::size_t n, std::uint64_t seed) {
-  return rw::make_generator(scenario)->generate(n, seed, rw::ArrivalMode::kPoisson);
-}
-
 }  // namespace
 
 TEST(OptGolden, EverySolverMatchesTheCopyingOracleAtEngineDecisionPoints) {
   // Scenarios picked for genuinely deep queues under an FCFS-style probe
   // (Adversarial drains instantly - every job fits on arrival).
   for (const auto& [scenario, seed] :
-       {std::pair{rw::Scenario::kHeterogeneousMix, std::uint64_t{7}},
-        std::pair{rw::Scenario::kLongJobDominant, std::uint64_t{23}},
-        std::pair{rw::Scenario::kHighParallelism, std::uint64_t{11}}}) {
+       {std::pair{"hetero_mix", std::uint64_t{7}},
+        std::pair{"long_job", std::uint64_t{23}},
+        std::pair{"high_parallel", std::uint64_t{11}}}) {
     SolverDifferentialProbe probe;
     rs::Engine engine;
-    engine.run(scenario_jobs(scenario, 60, seed), probe);
-    EXPECT_GT(probe.compared(), 0u) << rw::to_string(scenario);
+    engine.run(rw::generate_scenario(scenario, 60, seed), probe);
+    EXPECT_GT(probe.compared(), 0u) << scenario;
   }
 }
 
 TEST(OptGolden, OptimizingSchedulerViewPathMatchesOracleOnScenarios) {
   const struct {
-    rw::Scenario scenario;
+    const char* scenario;
     std::uint64_t seed;
-  } cases[] = {{rw::Scenario::kHeterogeneousMix, 7},
-               {rw::Scenario::kHighParallelism, 11},
-               {rw::Scenario::kLongJobDominant, 23},
-               {rw::Scenario::kBurstyIdle, 13}};
+  } cases[] = {{"hetero_mix", 7},
+               {"high_parallel", 11},
+               {"long_job", 23},
+               {"bursty_idle", 13}};
   for (const auto& c : cases) {
     for (const std::size_t n : {30u, 90u}) {
-      run_optimizer_golden(scenario_jobs(c.scenario, n, c.seed),
-                           rw::to_string(c.scenario) + "/" + std::to_string(n));
+      run_optimizer_golden(rw::generate_scenario(c.scenario, n, c.seed),
+                           std::string(c.scenario) + "/" + std::to_string(n));
     }
   }
 }

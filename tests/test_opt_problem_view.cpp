@@ -12,7 +12,7 @@
 #include "opt/optimizing_scheduler.hpp"
 #include "sim/engine.hpp"
 #include "sim/planning_window.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace ro = reasched::opt;
 namespace rs = reasched::sim;
@@ -74,8 +74,7 @@ class ViewProbe final : public rs::Scheduler {
 }  // namespace
 
 TEST(ProblemView, MatchesCopyingProblemAcrossAnEngineRun) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(80, 7);
+  const auto jobs = rw::generate_scenario("hetero_mix", 80, 7);
   ViewProbe probe;
   rs::Engine engine;
   engine.run(jobs, probe);
@@ -186,8 +185,7 @@ TEST(ProblemView, WindowRestrictsTheJobSet) {
 // The identity the tentpole promises: a window at least as large as the
 // queue never changes a decision, for both the optimizer and the agent.
 TEST(PlanningWindow, HugeWindowDecidesIdenticallyToUnbounded) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(60, 21);
+  const auto jobs = rw::generate_scenario("hetero_mix", 60, 21);
   rs::Engine engine;
 
   ro::OptimizingSchedulerConfig base;
@@ -220,8 +218,7 @@ TEST(PlanningWindow, HugeWindowDecidesIdenticallyToUnbounded) {
 // A genuinely bounded agent window: the run still completes, every decision
 // targets a job the prompt listed, and the prompt advertises the cut.
 TEST(PlanningWindow, BoundedAgentWindowKeepsPromptsAndDecisionsConsistent) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kLongJobDominant)->generate(50, 33);
+  const auto jobs = rw::generate_scenario("long_job", 50, 33);
   reasched::core::AgentConfig config;
   config.window.top_k = 4;
   const auto agent = reasched::core::make_fast_local_agent(11, config);

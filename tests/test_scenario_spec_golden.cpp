@@ -1,23 +1,21 @@
-// Behavior-preservation golden for the ScenarioSpec redesign: the scenario
-// axis rekey (enum -> spec) must leave every recorded result bit-identical
-// for the seven paper scenarios:
+// Behavior-preservation golden for the scenario axis. The seven paper
+// scenarios are named only by spec strings; every recorded result must stay
+// bit-identical to what the pre-registry enum path produced:
 //
-//   1. cell_jobs() through the enum shim vs through the parsed canonical
-//      spec string - identical job vectors, because scenario labels (the
-//      seed-derivation keys) and the registered generators reproduce the
-//      pre-registry construction verbatim;
-//   2. a direct-construction oracle replicating the pre-registry cell_jobs
-//      body (make_generator(enum)->generate with the label-derived seed);
-//   3. full sweep RunOutcomes (metrics, schedule, decisions, counters)
-//      keyed by enum scenarios vs by parsed spec strings;
-//   4. a piped transform spec re-parsed from its canonical to_string()
+//   1. cell_jobs() for every canonical spec x n x rep matches a pinned
+//      digest, captured from the enum-keyed generator factory before it was
+//      deleted - scenario labels (the seed-derivation keys), the RNG
+//      streams and the seven make_job draws are all covered;
+//   2. full sweep RunOutcomes (metrics, schedule, decisions, counters) over
+//      the seven scenarios match pinned digests captured the same way;
+//   3. a piped transform spec re-parsed from its canonical to_string()
 //      generates - and schedules - deterministically identically.
 
 #include <gtest/gtest.h>
 
+#include "golden_digest_test_helper.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/metrics.hpp"
-#include "workload/generator.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
@@ -29,19 +27,73 @@ namespace {
 
 constexpr std::uint64_t kSeed = 20260727;
 
-struct GoldenCase {
-  rw::Scenario scenario;
-  const char* canonical_spec;
+struct PinnedJobs {
+  const char* spec;
+  std::size_t n;
+  std::size_t rep;
+  std::uint64_t digest;
 };
 
-const GoldenCase kCases[] = {
-    {rw::Scenario::kHomogeneousShort, "homog_short"},
-    {rw::Scenario::kHeterogeneousMix, "hetero_mix"},
-    {rw::Scenario::kLongJobDominant, "long_job"},
-    {rw::Scenario::kHighParallelism, "high_parallel"},
-    {rw::Scenario::kResourceSparse, "resource_sparse"},
-    {rw::Scenario::kBurstyIdle, "bursty_idle"},
-    {rw::Scenario::kAdversarial, "adversarial"},
+const PinnedJobs kPinnedCellJobs[] = {
+    {"homog_short", 10, 0, 0x9a51d2c7a647ed83ULL},
+    {"homog_short", 10, 1, 0xf55e11b897560aadULL},
+    {"homog_short", 60, 0, 0x89093a8ba5edbb35ULL},
+    {"homog_short", 60, 1, 0x6a06a50a56378c66ULL},
+    {"hetero_mix", 10, 0, 0xf348aa3cbc0030efULL},
+    {"hetero_mix", 10, 1, 0xc7f1e76859552ae8ULL},
+    {"hetero_mix", 60, 0, 0x7bb7812fd7f7e5aeULL},
+    {"hetero_mix", 60, 1, 0x88c3d312ab6a92adULL},
+    {"long_job", 10, 0, 0xe142309be65aa39bULL},
+    {"long_job", 10, 1, 0x06378d71748f28c3ULL},
+    {"long_job", 60, 0, 0x133a57ddbda4e124ULL},
+    {"long_job", 60, 1, 0x50eac8d9dd4be299ULL},
+    {"high_parallel", 10, 0, 0xae9fc4ce7e349a03ULL},
+    {"high_parallel", 10, 1, 0x96150afc9e0c339cULL},
+    {"high_parallel", 60, 0, 0x6ab4102b992bbe67ULL},
+    {"high_parallel", 60, 1, 0x3f419a1fa79dded8ULL},
+    {"resource_sparse", 10, 0, 0x6e6c3e990a160853ULL},
+    {"resource_sparse", 10, 1, 0x61debc880bf024bfULL},
+    {"resource_sparse", 60, 0, 0xdb821eb0cbb61204ULL},
+    {"resource_sparse", 60, 1, 0xdb4eb20469dfc449ULL},
+    {"bursty_idle", 10, 0, 0x1df83aba0262b3aaULL},
+    {"bursty_idle", 10, 1, 0x2c23dabd8a4d1554ULL},
+    {"bursty_idle", 60, 0, 0x46a9af2e9a2f6634ULL},
+    {"bursty_idle", 60, 1, 0xb127a5390fe19775ULL},
+    {"adversarial", 10, 0, 0xab7a616d0267859aULL},
+    {"adversarial", 10, 1, 0x2c058a425d562b5dULL},
+    {"adversarial", 60, 0, 0xad6a2b60ed868352ULL},
+    {"adversarial", 60, 1, 0x144fa1b4688d6f56ULL},
+};
+
+struct PinnedOutcome {
+  const char* scenario;
+  const char* method;
+  std::size_t rep;
+  std::uint64_t digest;
+};
+
+const PinnedOutcome kPinnedSweep[] = {
+    {"adversarial", "easy", 0, 0x1c47ce183b30b806ULL},
+    {"adversarial", "fcfs", 0, 0x1c47ce183b30b806ULL},
+    {"adversarial", "sjf", 0, 0x1c47ce183b30b806ULL},
+    {"bursty_idle", "easy", 0, 0xeb9b6ad4ade83e92ULL},
+    {"bursty_idle", "fcfs", 0, 0xeb9b6ad4ade83e92ULL},
+    {"bursty_idle", "sjf", 0, 0xeb9b6ad4ade83e92ULL},
+    {"hetero_mix", "easy", 0, 0xda0fa6c3a3083206ULL},
+    {"hetero_mix", "fcfs", 0, 0xda0fa6c3a3083206ULL},
+    {"hetero_mix", "sjf", 0, 0xda0fa6c3a3083206ULL},
+    {"high_parallel", "easy", 0, 0xdc0207277def5b8aULL},
+    {"high_parallel", "fcfs", 0, 0xdc0207277def5b8aULL},
+    {"high_parallel", "sjf", 0, 0x40b5924a7725c6adULL},
+    {"homog_short", "easy", 0, 0x24ecc2afc19227b0ULL},
+    {"homog_short", "fcfs", 0, 0x24ecc2afc19227b0ULL},
+    {"homog_short", "sjf", 0, 0x24ecc2afc19227b0ULL},
+    {"long_job", "easy", 0, 0xbb06253a047e64a1ULL},
+    {"long_job", "fcfs", 0, 0x0770f4066e6da603ULL},
+    {"long_job", "sjf", 0, 0x6b8ffaa43bdaea16ULL},
+    {"resource_sparse", "easy", 0, 0x7d677ed653dca569ULL},
+    {"resource_sparse", "fcfs", 0, 0x7d677ed653dca569ULL},
+    {"resource_sparse", "sjf", 0, 0x7d677ed653dca569ULL},
 };
 
 void expect_identical_jobs(const std::vector<sim::Job>& a, const std::vector<sim::Job>& b,
@@ -93,73 +145,41 @@ void expect_identical_outcomes(const rh::RunOutcome& a, const rh::RunOutcome& b,
 
 }  // namespace
 
-TEST(ScenarioSpecGolden, CellJobsBitIdenticalAcrossEnumShimSpecAndLegacyOracle) {
+TEST(ScenarioSpecGolden, CellJobsMatchPinnedDigests) {
   rh::SweepConfig config;
   config.base_seed = kSeed;
-
-  for (const auto& test_case : kCases) {
-    const std::string label = test_case.canonical_spec;
-    for (const std::size_t n : {10u, 60u}) {
-      for (const std::size_t rep : {0u, 1u}) {
-        // Enum shim vs parsed canonical spec string.
-        const auto via_enum = rh::cell_jobs(config, test_case.scenario, n, rep);
-        const auto via_spec =
-            rh::cell_jobs(config, rw::ScenarioSpec::parse(test_case.canonical_spec), n, rep);
-        expect_identical_jobs(via_enum, via_spec, label + " (enum vs spec)");
-
-        // The pre-registry cell_jobs body, preserved verbatim as the oracle:
-        // seed derived from the legacy display label, workload drawn from
-        // the enum-keyed generator factory.
-        const std::uint64_t workload_seed = util::derive_seed(
-            util::derive_seed(config.base_seed, rw::to_string(test_case.scenario), n), "rep",
-            rep);
-        const auto legacy = rw::make_generator(test_case.scenario)
-                                ->generate(n, workload_seed, config.arrival_mode,
-                                           config.engine.cluster);
-        expect_identical_jobs(via_spec, legacy, label + " (legacy oracle)");
-      }
-    }
+  for (const auto& pin : kPinnedCellJobs) {
+    const auto jobs = rh::cell_jobs(config, pin.spec, pin.n, pin.rep);
+    EXPECT_EQ(reasched::testing::jobs_digest(jobs), pin.digest)
+        << pin.spec << " n=" << pin.n << " rep=" << pin.rep;
   }
 }
 
 TEST(ScenarioSpecGolden, SweepOutcomesUnchangedByScenarioRekey) {
-  // The spec-keyed sweep must reproduce the enum-keyed sweep bit-for-bit:
-  // one grid run over all seven scenarios as enums, one as parsed spec
-  // strings, identical RunOutcomes cell by cell.
-  rh::SweepConfig enum_config;
-  enum_config.scenarios.assign(rw::all_scenarios().begin(), rw::all_scenarios().end());
-  enum_config.job_counts = {12};
-  enum_config.methods = {rh::Method::kFcfs, rh::Method::kSjf, rh::Method::kEasyBackfill};
-  enum_config.repetitions = 1;
-  enum_config.base_seed = 777;
-  enum_config.threads = 2;
+  // One grid over all seven scenarios x {fcfs, sjf, easy}: every cell's
+  // RunOutcome matches the digest the enum-keyed sweep produced.
+  rh::SweepConfig config;
+  config.scenarios = rw::paper_scenario_specs();
+  config.job_counts = {12};
+  config.methods = {"fcfs", "sjf", "easy"};
+  config.repetitions = 1;
+  config.base_seed = 777;
+  config.threads = 2;
 
-  rh::SweepConfig spec_config = enum_config;
-  spec_config.scenarios.clear();
-  for (const auto& test_case : kCases) {
-    spec_config.scenarios.push_back(rw::ScenarioSpec::parse(test_case.canonical_spec));
-  }
-
-  const auto enum_results = rh::run_sweep(enum_config);
-  const auto spec_results = rh::run_sweep(spec_config);
-  ASSERT_EQ(enum_results.size(), 21u);
-  ASSERT_EQ(spec_results.size(), enum_results.size());
-
-  auto it_enum = enum_results.begin();
-  auto it_spec = spec_results.begin();
-  for (; it_enum != enum_results.end(); ++it_enum, ++it_spec) {
-    // Cells key identically: the enum shim converts to the canonical spec.
-    ASSERT_EQ(it_enum->first.scenario, it_spec->first.scenario);
-    ASSERT_EQ(it_enum->first.method, it_spec->first.method);
-    expect_identical_outcomes(it_enum->second, it_spec->second,
-                              rw::scenario_label(it_enum->first.scenario) + "/" +
-                                  rh::method_name(it_enum->first.method));
+  const auto results = rh::run_sweep(config);
+  ASSERT_EQ(results.size(), std::size(kPinnedSweep));
+  for (const auto& pin : kPinnedSweep) {
+    const rh::Cell cell{pin.scenario, 12, pin.method, pin.rep};
+    const auto it = results.find(cell);
+    ASSERT_NE(it, results.end()) << pin.scenario << "/" << pin.method;
+    EXPECT_EQ(reasched::testing::outcome_digest(it->second), pin.digest)
+        << pin.scenario << "/" << pin.method << " rep=" << pin.rep;
   }
 
   // Labels the seed derivation keys off are the pre-redesign strings.
-  EXPECT_EQ(rw::scenario_label(spec_config.scenarios[0]), "Homogeneous Short");
-  EXPECT_EQ(rw::scenario_label(spec_config.scenarios[1]), "Heterogeneous Mix");
-  EXPECT_EQ(rw::scenario_label(spec_config.scenarios[5]), "Bursty + Idle");
+  EXPECT_EQ(rw::scenario_label(config.scenarios[0]), "Homogeneous Short");
+  EXPECT_EQ(rw::scenario_label(config.scenarios[1]), "Heterogeneous Mix");
+  EXPECT_EQ(rw::scenario_label(config.scenarios[5]), "Bursty + Idle");
 }
 
 TEST(ScenarioSpecGolden, PipedTransformDeterministicAcrossCanonicalReparse) {
@@ -174,7 +194,7 @@ TEST(ScenarioSpecGolden, PipedTransformDeterministicAcrossCanonicalReparse) {
 
   rh::SweepConfig config;
   config.job_counts = {20};
-  config.methods = {rh::Method::kFcfs, rh::Method::kEasyBackfill};
+  config.methods = {"fcfs", "easy"};
   config.base_seed = 4242;
   config.threads = 2;
 
@@ -192,6 +212,6 @@ TEST(ScenarioSpecGolden, PipedTransformDeterministicAcrossCanonicalReparse) {
   for (; it_first != first.end(); ++it_first, ++it_second) {
     ASSERT_EQ(it_first->first.scenario, it_second->first.scenario);
     expect_identical_outcomes(it_first->second, it_second->second,
-                              "piped " + rh::method_name(it_first->first.method));
+                              "piped " + rh::method_label(it_first->first.method));
   }
 }

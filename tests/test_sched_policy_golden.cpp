@@ -15,7 +15,7 @@
 #include "sched/linear_reference.hpp"
 #include "sched/sjf.hpp"
 #include "sim/engine.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rs = reasched::sim;
 namespace rc = reasched::sched;
@@ -71,10 +71,6 @@ void run_golden(const std::vector<rs::Job>& jobs, const std::string& label,
   }
 }
 
-std::vector<rs::Job> scenario_jobs(rw::Scenario scenario, std::size_t n, std::uint64_t seed) {
-  return rw::make_generator(scenario)->generate(n, seed, rw::ArrivalMode::kPoisson);
-}
-
 }  // namespace
 
 TEST(PolicyGolden, GeneratedScenarios) {
@@ -82,17 +78,17 @@ TEST(PolicyGolden, GeneratedScenarios) {
   // stretches - the regime where EASY actually backfills; Heterogeneous Mix
   // and High Parallelism vary walltimes and demands for the SJF index.
   const struct {
-    rw::Scenario scenario;
+    const char* scenario;
     std::uint64_t seed;
-  } cases[] = {{rw::Scenario::kHeterogeneousMix, 7},
-               {rw::Scenario::kHighParallelism, 11},
-               {rw::Scenario::kLongJobDominant, 23},
-               {rw::Scenario::kAdversarial, 29},
-               {rw::Scenario::kBurstyIdle, 13}};
+  } cases[] = {{"hetero_mix", 7},
+               {"high_parallel", 11},
+               {"long_job", 23},
+               {"adversarial", 29},
+               {"bursty_idle", 13}};
   for (const auto& c : cases) {
     for (const std::size_t n : {40u, 120u}) {
-      run_golden(scenario_jobs(c.scenario, n, c.seed),
-                 rw::to_string(c.scenario) + "/" + std::to_string(n));
+      run_golden(rw::generate_scenario(c.scenario, n, c.seed),
+                 std::string(c.scenario) + "/" + std::to_string(n));
     }
   }
 }
@@ -104,7 +100,7 @@ TEST(PolicyGolden, NoisyWalltimeEstimates) {
   options.walltime_factor_min = 1.1;
   options.walltime_factor_max = 3.0;
   for (const std::size_t n : {60u, 150u}) {
-    run_golden(rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(n, 31, options),
+    run_golden(rw::generate_scenario("hetero_mix", n, 31, options),
                "noisy/" + std::to_string(n));
   }
 }
@@ -140,7 +136,7 @@ TEST(PolicyGolden, DependencyDag) {
 }
 
 TEST(PolicyGolden, WalltimeEnforcement) {
-  auto jobs = scenario_jobs(rw::Scenario::kHeterogeneousMix, 40, 17);
+  auto jobs = rw::generate_scenario("hetero_mix", 40, 17);
   for (std::size_t i = 0; i < jobs.size(); i += 3) {
     jobs[i].walltime = jobs[i].duration * 0.5;  // underestimate
   }
@@ -152,9 +148,9 @@ TEST(PolicyGolden, WalltimeEnforcement) {
 TEST(PolicyGolden, LargeSimulationTimes) {
   // At ~1e7 s the relative tol_leq comparisons and the release-prefix
   // binary search must agree with the linear walk to the last bit.
-  for (const auto scenario : {rw::Scenario::kHeterogeneousMix, rw::Scenario::kAdversarial}) {
-    auto jobs = scenario_jobs(scenario, 60, 19);
+  for (const auto scenario : {"hetero_mix", "adversarial"}) {
+    auto jobs = rw::generate_scenario(scenario, 60, 19);
     for (auto& j : jobs) j.submit_time += 1.0e7;
-    run_golden(jobs, "late-times/" + rw::to_string(scenario));
+    run_golden(jobs, std::string("late-times/") + scenario);
   }
 }

@@ -28,7 +28,7 @@ rs::Job make_job(int id, double submit, double duration, int nodes = 4,
 
 rsvc::ServiceConfig fcfs_config(std::uint64_t seed = 7) {
   rsvc::ServiceConfig config;
-  config.method = reasched::harness::Method::kFcfs;
+  config.method = "fcfs";
   config.seed = seed;
   return config;
 }

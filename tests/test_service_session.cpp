@@ -178,7 +178,7 @@ namespace {
 
 rsvc::ServiceConfig fcfs_config(std::uint64_t seed = 5) {
   rsvc::ServiceConfig config;
-  config.method = reasched::harness::Method::kFcfs;
+  config.method = "fcfs";
   config.seed = seed;
   return config;
 }

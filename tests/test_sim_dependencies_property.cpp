@@ -39,8 +39,15 @@ std::vector<rs::Job> random_dag_jobs(std::uint64_t seed, std::size_t n) {
   return jobs;
 }
 
+/// Methods under test, each with the first of its three DAG seeds.
+const struct {
+  const char* spec;
+  std::uint64_t first_seed;
+} kDagMethods[] = {{"fcfs", 9000},           {"sjf", 9003},  {"opt:portfolio", 9009},
+                   {"agent:claude37", 9012}, {"easy", 9006}};
+
 struct DagCase {
-  rh::Method method;
+  std::size_t method;  ///< index into kDagMethods
   std::uint64_t seed;
 };
 
@@ -51,7 +58,7 @@ class DagInvariants : public ::testing::TestWithParam<DagCase> {};
 TEST_P(DagInvariants, DependenciesNeverViolated) {
   const auto& p = GetParam();
   const auto jobs = random_dag_jobs(p.seed, 20);
-  const auto scheduler = rh::make_scheduler(p.method, p.seed);
+  const auto scheduler = rh::make_scheduler(kDagMethods[p.method].spec, p.seed);
   rs::Engine engine;
   const auto result = engine.run(jobs, *scheduler);
   ASSERT_EQ(result.completed.size(), jobs.size());
@@ -62,7 +69,7 @@ TEST_P(DagInvariants, DependenciesNeverViolated) {
     for (const rs::JobId dep : c.job.dependencies) {
       EXPECT_GE(c.start_time, by_id.at(dep)->end_time - 1e-9)
           << "job " << c.job.id << " started before dependency " << dep
-          << " finished under " << rh::method_name(p.method);
+          << " finished under " << kDagMethods[p.method].spec;
     }
   }
 }
@@ -70,18 +77,16 @@ TEST_P(DagInvariants, DependenciesNeverViolated) {
 namespace {
 std::vector<DagCase> dag_cases() {
   std::vector<DagCase> cases;
-  const rh::Method methods[] = {rh::Method::kFcfs, rh::Method::kSjf,
-                                rh::Method::kEasyBackfill, rh::Method::kOrTools,
-                                rh::Method::kClaude37};
-  std::uint64_t seed = 9000;
-  for (const auto m : methods) {
-    for (int rep = 0; rep < 3; ++rep) cases.push_back({m, seed++});
+  for (std::size_t m = 0; m < std::size(kDagMethods); ++m) {
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+      cases.push_back({m, kDagMethods[m].first_seed + rep});
+    }
   }
   return cases;
 }
 
 std::string dag_case_name(const ::testing::TestParamInfo<DagCase>& info) {
-  std::string s = rh::method_name(info.param.method) + "_" +
+  std::string s = rh::method_label(kDagMethods[info.param.method].spec) + "_" +
                   std::to_string(info.param.seed);
   for (char& c : s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
@@ -110,12 +115,12 @@ TEST(DagScheduling, DiamondCriticalPath) {
   jobs[3].duration = jobs[3].walltime = 50;
   jobs[3].dependencies = {2, 3};
 
-  for (const auto method : {rh::Method::kFcfs, rh::Method::kClaude37}) {
+  for (const auto method : {"fcfs", "agent:claude37"}) {
     const auto scheduler = rh::make_scheduler(method, 1);
     rs::Engine engine;
     const auto result = engine.run(jobs, *scheduler);
-    EXPECT_DOUBLE_EQ(result.find(4).start_time, 300.0) << rh::method_name(method);
-    EXPECT_DOUBLE_EQ(result.final_time, 350.0) << rh::method_name(method);
+    EXPECT_DOUBLE_EQ(result.find(4).start_time, 300.0) << rh::method_label(method);
+    EXPECT_DOUBLE_EQ(result.final_time, 350.0) << rh::method_label(method);
   }
 }
 

@@ -15,7 +15,7 @@
 #include "sched/sjf.hpp"
 #include "sim/engine.hpp"
 #include "sim/reference_engine.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rs = reasched::sim;
 namespace rc = reasched::sched;
@@ -74,29 +74,25 @@ void run_golden(const std::vector<rs::Job>& jobs, const std::string& label,
   }
 }
 
-std::vector<rs::Job> scenario_jobs(rw::Scenario scenario, std::size_t n, std::uint64_t seed) {
-  return rw::make_generator(scenario)->generate(n, seed, rw::ArrivalMode::kPoisson);
-}
-
 }  // namespace
 
 TEST(EngineGolden, HeterogeneousMix) {
   for (const std::size_t n : {40u, 120u}) {
-    run_golden(scenario_jobs(rw::Scenario::kHeterogeneousMix, n, 7),
+    run_golden(rw::generate_scenario("hetero_mix", n, 7),
                "hetmix/" + std::to_string(n));
   }
 }
 
 TEST(EngineGolden, HighParallelism) {
   for (const std::size_t n : {40u, 120u}) {
-    run_golden(scenario_jobs(rw::Scenario::kHighParallelism, n, 11),
+    run_golden(rw::generate_scenario("high_parallel", n, 11),
                "highpar/" + std::to_string(n));
   }
 }
 
 TEST(EngineGolden, BurstyIdle) {
   for (const std::size_t n : {40u, 120u}) {
-    run_golden(scenario_jobs(rw::Scenario::kBurstyIdle, n, 13),
+    run_golden(rw::generate_scenario("bursty_idle", n, 13),
                "bursty/" + std::to_string(n));
   }
 }
@@ -134,7 +130,7 @@ TEST(EngineGolden, DependencyDag) {
 
 TEST(EngineGolden, WalltimeEnforcement) {
   // Underestimated jobs are killed at their walltime in both engines.
-  auto jobs = scenario_jobs(rw::Scenario::kHeterogeneousMix, 40, 17);
+  auto jobs = rw::generate_scenario("hetero_mix", 40, 17);
   for (std::size_t i = 0; i < jobs.size(); i += 3) {
     jobs[i].walltime = jobs[i].duration * 0.5;  // underestimate
   }
@@ -146,7 +142,7 @@ TEST(EngineGolden, WalltimeEnforcement) {
 TEST(EngineGolden, LargeSimulationTimes) {
   // The relative event tolerance must keep batching consistent at Polaris
   // time scales (~1e7 s), where the seed's absolute 1e-12 is below one ulp.
-  auto jobs = scenario_jobs(rw::Scenario::kHeterogeneousMix, 60, 19);
+  auto jobs = rw::generate_scenario("hetero_mix", 60, 19);
   for (auto& j : jobs) j.submit_time += 1.0e7;
   run_golden(jobs, "late-times");
 }

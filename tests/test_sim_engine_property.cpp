@@ -9,15 +9,18 @@
 #include "harness/methods.hpp"
 #include "opt/resource_profile.hpp"
 #include "sim/engine.hpp"
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rs = reasched::sim;
 namespace rw = reasched::workload;
 namespace rh = reasched::harness;
 
+const char* const kMethods[] = {"fcfs",          "sjf",           "easy",
+                                "opt:portfolio", "agent:claude37", "agent:o4mini"};
+
 struct PropertyCase {
-  rw::Scenario scenario;
-  rh::Method method;
+  std::size_t scenario;  ///< index into paper_scenario_specs()
+  std::size_t method;    ///< index into kMethods
   std::uint64_t seed;
   std::size_t n_jobs;
 };
@@ -26,8 +29,8 @@ class EngineInvariants : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(EngineInvariants, HoldAcrossScenariosAndSchedulers) {
   const auto& p = GetParam();
-  const auto jobs = rw::make_generator(p.scenario)->generate(p.n_jobs, p.seed);
-  const auto scheduler = rh::make_scheduler(p.method, p.seed);
+  const auto jobs = rw::generate_scenario(rw::paper_scenario_specs()[p.scenario], p.n_jobs, p.seed);
+  const auto scheduler = rh::make_scheduler(kMethods[p.method], p.seed);
   rs::Engine engine;
   const auto result = engine.run(jobs, *scheduler);
 
@@ -50,7 +53,7 @@ TEST_P(EngineInvariants, HoldAcrossScenariosAndSchedulers) {
     ASSERT_NO_THROW(
         profile.add(c.start_time, c.job.duration, c.job.nodes, c.job.memory_gb))
         << "capacity violated by job " << c.job.id << " under "
-        << rh::method_name(p.method);
+        << kMethods[p.method];
   }
   EXPECT_LE(profile.peak_nodes(), spec.total_nodes);
 
@@ -63,12 +66,9 @@ TEST_P(EngineInvariants, HoldAcrossScenariosAndSchedulers) {
 namespace {
 std::vector<PropertyCase> make_cases() {
   std::vector<PropertyCase> cases;
-  const rh::Method methods[] = {rh::Method::kFcfs, rh::Method::kSjf,
-                                rh::Method::kEasyBackfill, rh::Method::kOrTools,
-                                rh::Method::kClaude37, rh::Method::kO4Mini};
   std::uint64_t seed = 1000;
-  for (const auto scenario : rw::all_scenarios()) {
-    for (const auto method : methods) {
+  for (std::size_t scenario = 0; scenario < rw::paper_scenario_specs().size(); ++scenario) {
+    for (std::size_t method = 0; method < std::size(kMethods); ++method) {
       cases.push_back({scenario, method, seed++, 24});
     }
   }
@@ -76,8 +76,8 @@ std::vector<PropertyCase> make_cases() {
 }
 
 std::string case_name(const ::testing::TestParamInfo<PropertyCase>& info) {
-  std::string s = rw::to_string(info.param.scenario) + "_" +
-                  rh::method_name(info.param.method);
+  std::string s = rw::scenario_label(rw::paper_scenario_specs()[info.param.scenario]) + "_" +
+                  rh::method_label(kMethods[info.param.method]);
   for (char& c : s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -91,9 +91,8 @@ INSTANTIATE_TEST_SUITE_P(AllScenariosAllMethods, EngineInvariants,
 // Dedicated check: the paired-workload property the sweep depends on - the
 // same (scenario, n, seed) always yields the identical job list.
 TEST(EngineDeterminism, SameSeedSameScheduleForStochasticMethods) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(30, 777);
-  for (const auto method : {rh::Method::kOrTools, rh::Method::kClaude37}) {
+  const auto jobs = rw::generate_scenario("hetero_mix", 30, 777);
+  for (const auto method : {"opt:portfolio", "agent:claude37"}) {
     const auto s1 = rh::make_scheduler(method, 99);
     const auto s2 = rh::make_scheduler(method, 99);
     rs::Engine engine;
@@ -102,16 +101,15 @@ TEST(EngineDeterminism, SameSeedSameScheduleForStochasticMethods) {
     ASSERT_EQ(r1.completed.size(), r2.completed.size());
     for (std::size_t i = 0; i < r1.completed.size(); ++i) {
       EXPECT_DOUBLE_EQ(r1.completed[i].start_time, r2.completed[i].start_time)
-          << rh::method_name(method) << " not deterministic";
+          << rh::method_label(method) << " not deterministic";
     }
   }
 }
 
 TEST(EngineDeterminism, DifferentSeedsDifferForStochasticMethods) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(40, 778);
-  const auto s1 = rh::make_scheduler(rh::Method::kO4Mini, 1);
-  const auto s2 = rh::make_scheduler(rh::Method::kO4Mini, 2);
+  const auto jobs = rw::generate_scenario("hetero_mix", 40, 778);
+  const auto s1 = rh::make_scheduler("agent:o4mini", 1);
+  const auto s2 = rh::make_scheduler("agent:o4mini", 2);
   rs::Engine engine;
   const auto r1 = engine.run(jobs, *s1);
   const auto r2 = engine.run(jobs, *s2);

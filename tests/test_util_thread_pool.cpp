@@ -104,10 +104,9 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
 // be bit-identical to the retaining path and independent of thread count.
 TEST(SweepStreaming, ConcurrentOnCellSinkIsSerializedAndComplete) {
   rh::SweepConfig config;
-  config.scenarios = {reasched::workload::Scenario::kHomogeneousShort,
-                      reasched::workload::Scenario::kLongJobDominant};
+  config.scenarios = {"homog_short", "long_job"};
   config.job_counts = {12};
-  config.methods = {rh::Method::kFcfs, rh::Method::kSjf, rh::Method::kEasyBackfill};
+  config.methods = {"fcfs", "sjf", "easy"};
   config.repetitions = 3;
   config.base_seed = 7;
   config.threads = 4;

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "workload/generator.hpp"
-#include "workload/scenarios.hpp"
+#include "workload/scenario_spec.hpp"
+#include "workload/users.hpp"
 
 namespace rw = reasched::workload;
 namespace rs = reasched::sim;
@@ -14,16 +13,21 @@ namespace rs = reasched::sim;
 // ---------------------------------------------------------------------------
 
 struct GenCase {
-  rw::Scenario scenario;
+  std::size_t scenario;  ///< index into paper_scenario_specs()
   std::size_t n;
 };
+
+namespace {
+const rw::ScenarioSpec& spec_of(const GenCase& c) {
+  return rw::paper_scenario_specs()[c.scenario];
+}
+}  // namespace
 
 class GeneratorProperties : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(GeneratorProperties, WellFormedJobs) {
   const auto& p = GetParam();
-  const auto gen = rw::make_generator(p.scenario);
-  const auto jobs = gen->generate(p.n, 42);
+  const auto jobs = rw::generate_scenario(spec_of(p), p.n, 42);
   const auto cluster = rs::ClusterSpec::paper_default();
 
   ASSERT_EQ(jobs.size(), p.n);
@@ -46,9 +50,8 @@ TEST_P(GeneratorProperties, WellFormedJobs) {
 
 TEST_P(GeneratorProperties, DeterministicPerSeed) {
   const auto& p = GetParam();
-  const auto gen = rw::make_generator(p.scenario);
-  const auto a = gen->generate(p.n, 7);
-  const auto b = gen->generate(p.n, 7);
+  const auto a = rw::generate_scenario(spec_of(p), p.n, 7);
+  const auto b = rw::generate_scenario(spec_of(p), p.n, 7);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
@@ -56,7 +59,7 @@ TEST_P(GeneratorProperties, DeterministicPerSeed) {
     EXPECT_EQ(a[i].nodes, b[i].nodes);
     EXPECT_DOUBLE_EQ(a[i].submit_time, b[i].submit_time);
   }
-  const auto c = gen->generate(p.n, 8);
+  const auto c = rw::generate_scenario(spec_of(p), p.n, 8);
   bool differs = false;
   for (std::size_t i = 0; i < a.size() && !differs; ++i) {
     differs = a[i].duration != c[i].duration || a[i].submit_time != c[i].submit_time;
@@ -66,22 +69,22 @@ TEST_P(GeneratorProperties, DeterministicPerSeed) {
 
 TEST_P(GeneratorProperties, StaticModeZeroesArrivals) {
   const auto& p = GetParam();
-  const auto jobs =
-      rw::make_generator(p.scenario)->generate(p.n, 42, rw::ArrivalMode::kStatic);
+  rw::GenerateOptions options;
+  options.arrival_mode = rw::ArrivalMode::kStatic;
+  const auto jobs = rw::generate_scenario(spec_of(p), p.n, 42, options);
   for (const auto& j : jobs) EXPECT_DOUBLE_EQ(j.submit_time, 0.0);
 }
 
 namespace {
 std::vector<GenCase> gen_cases() {
   std::vector<GenCase> cases;
-  for (const auto s : rw::all_scenarios()) {
+  for (std::size_t s = 0; s < rw::paper_scenario_specs().size(); ++s) {
     for (const std::size_t n : {10u, 60u}) cases.push_back({s, n});
   }
   return cases;
 }
 std::string gen_name(const ::testing::TestParamInfo<GenCase>& info) {
-  std::string s = rw::to_string(info.param.scenario) + "_" +
-                  std::to_string(info.param.n);
+  std::string s = rw::scenario_label(spec_of(info.param)) + "_" + std::to_string(info.param.n);
   for (char& c : s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -97,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, GeneratorProperties,
 // ---------------------------------------------------------------------------
 
 TEST(HomogeneousShort, MatchesPaperParameters) {
-  const auto jobs = rw::HomogeneousShortGenerator().generate(80, 1);
+  const auto jobs = rw::generate_scenario("homog_short", 80, 1);
   for (const auto& j : jobs) {
     EXPECT_EQ(j.nodes, 2);
     EXPECT_DOUBLE_EQ(j.memory_gb, 4.0);
@@ -107,7 +110,7 @@ TEST(HomogeneousShort, MatchesPaperParameters) {
 }
 
 TEST(ResourceSparse, MatchesPaperParameters) {
-  const auto jobs = rw::ResourceSparseGenerator().generate(80, 2);
+  const auto jobs = rw::generate_scenario("resource_sparse", 80, 2);
   for (const auto& j : jobs) {
     EXPECT_EQ(j.nodes, 1);
     EXPECT_LT(j.memory_gb, 8.0 + 1e-9);
@@ -117,7 +120,7 @@ TEST(ResourceSparse, MatchesPaperParameters) {
 }
 
 TEST(LongJobDominant, AboutTwentyPercentLong) {
-  const auto jobs = rw::LongJobDominantGenerator().generate(400, 3);
+  const auto jobs = rw::generate_scenario("long_job", 400, 3);
   std::size_t longs = 0;
   for (const auto& j : jobs) {
     if (j.nodes == 128) {
@@ -134,7 +137,7 @@ TEST(LongJobDominant, AboutTwentyPercentLong) {
 }
 
 TEST(HighParallelism, WideJobsOnly) {
-  const auto jobs = rw::HighParallelismGenerator().generate(120, 4);
+  const auto jobs = rw::generate_scenario("high_parallel", 120, 4);
   for (const auto& j : jobs) {
     EXPECT_GE(j.nodes, 64);
     EXPECT_LE(j.nodes, 256);
@@ -142,7 +145,7 @@ TEST(HighParallelism, WideJobsOnly) {
 }
 
 TEST(Adversarial, FirstArrivalIsTheBlocker) {
-  const auto jobs = rw::AdversarialGenerator().generate(30, 5);
+  const auto jobs = rw::generate_scenario("adversarial", 30, 5);
   const auto& first = jobs.front();  // arrival-sorted
   EXPECT_EQ(first.nodes, 128);
   EXPECT_DOUBLE_EQ(first.duration, 100000.0);
@@ -153,7 +156,7 @@ TEST(Adversarial, FirstArrivalIsTheBlocker) {
 }
 
 TEST(BurstyIdle, MixesShortAndLong) {
-  const auto jobs = rw::BurstyIdleGenerator().generate(200, 6);
+  const auto jobs = rw::generate_scenario("bursty_idle", 200, 6);
   std::size_t shorts = 0, longs = 0;
   for (const auto& j : jobs) {
     if (j.duration <= 240.0) ++shorts;
@@ -165,25 +168,10 @@ TEST(BurstyIdle, MixesShortAndLong) {
 
 TEST(HeterogeneousMix, GammaRuntimeMean) {
   // Gamma(1.5, 300) => mean 450 (with the 10 s floor slightly raising it).
-  const auto jobs = rw::HeterogeneousMixGenerator().generate(2000, 7);
+  const auto jobs = rw::generate_scenario("hetero_mix", 2000, 7);
   double total = 0.0;
   for (const auto& j : jobs) total += j.duration;
   EXPECT_NEAR(total / 2000.0, 450.0, 40.0);
-}
-
-TEST(Scenario, NamesRoundTrip) {
-  for (const auto s : rw::all_scenarios()) {
-    EXPECT_EQ(rw::scenario_from_string(rw::to_string(s)), s);
-  }
-  EXPECT_EQ(rw::scenario_from_string("hetmix"), rw::Scenario::kHeterogeneousMix);
-  EXPECT_EQ(rw::scenario_from_string("adversarial"), rw::Scenario::kAdversarial);
-  EXPECT_FALSE(rw::scenario_from_string("nonsense").has_value());
-}
-
-TEST(Scenario, Figure3SetExcludesHetMix) {
-  const auto& fig3 = rw::figure3_scenarios();
-  EXPECT_EQ(fig3.size(), 6u);
-  EXPECT_EQ(std::count(fig3.begin(), fig3.end(), rw::Scenario::kHeterogeneousMix), 0);
 }
 
 TEST(Scenario, PaperJobCounts) {

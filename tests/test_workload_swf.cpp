@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 #include "workload/swf.hpp"
 
 namespace rw = reasched::workload;
@@ -97,8 +97,7 @@ TEST(Swf, EmptyAndCommentOnly) {
 }
 
 TEST(Swf, RoundTripThroughExport) {
-  const auto original =
-      rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(20, 9);
+  const auto original = rw::generate_scenario("hetero_mix", 20, 9);
   const std::string swf = rw::jobs_to_swf(original);
   rw::SwfOptions options;
   options.default_memory_gb_per_node = 1.0;
@@ -114,7 +113,7 @@ TEST(Swf, RoundTripThroughExport) {
 }
 
 TEST(Swf, SaveLoadFile) {
-  const auto jobs = rw::make_generator(rw::Scenario::kResourceSparse)->generate(5, 2);
+  const auto jobs = rw::generate_scenario("resource_sparse", 5, 2);
   const std::string path = ::testing::TempDir() + "/reasched_swf_test.swf";
   rw::save_swf(jobs, path);
   EXPECT_EQ(rw::load_swf(path).size(), 5u);
@@ -127,8 +126,7 @@ TEST(GenerateOptions, WalltimeNoiseOverestimates) {
   rw::GenerateOptions options;
   options.walltime_factor_min = 1.2;
   options.walltime_factor_max = 2.0;
-  const auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)
-                        ->generate(60, 4, options);
+  const auto jobs = rw::generate_scenario("hetero_mix", 60, 4, options);
   for (const auto& j : jobs) {
     if (j.nodes == 128 && j.duration == 100000.0) continue;  // adversarial blocker n/a
     EXPECT_GE(j.walltime, j.duration * 1.2 - 1e-6) << j.describe();
@@ -137,8 +135,7 @@ TEST(GenerateOptions, WalltimeNoiseOverestimates) {
 }
 
 TEST(GenerateOptions, ExactByDefault) {
-  const auto jobs =
-      rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(10, 5);
+  const auto jobs = rw::generate_scenario("homog_short", 10, 5);
   for (const auto& j : jobs) EXPECT_DOUBLE_EQ(j.walltime, j.duration);
 }
 
@@ -147,12 +144,12 @@ TEST(GenerateOptions, RejectsBadFactors) {
   options.walltime_factor_min = 2.0;
   options.walltime_factor_max = 1.5;
   EXPECT_THROW(
-      rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(5, 1, options),
+      rw::generate_scenario("homog_short", 5, 1, options),
       std::invalid_argument);
   options.walltime_factor_min = 0.5;
   options.walltime_factor_max = 1.5;
   EXPECT_THROW(
-      rw::make_generator(rw::Scenario::kHomogeneousShort)->generate(5, 1, options),
+      rw::generate_scenario("homog_short", 5, 1, options),
       std::invalid_argument);
 }
 
@@ -162,8 +159,7 @@ TEST(GenerateOptions, NoisyEstimatesStillSimulate) {
   rw::GenerateOptions options;
   options.walltime_factor_min = 1.1;
   options.walltime_factor_max = 3.0;
-  const auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)
-                        ->generate(30, 6, options);
+  const auto jobs = rw::generate_scenario("hetero_mix", 30, 6, options);
   for (const auto& j : jobs) {
     EXPECT_TRUE(j.valid());
     EXPECT_GT(j.walltime, j.duration);

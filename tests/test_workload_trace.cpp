@@ -2,14 +2,14 @@
 
 #include <cstdio>
 
-#include "workload/generator.hpp"
+#include "workload/scenario_spec.hpp"
 #include "workload/trace.hpp"
 
 namespace rw = reasched::workload;
 namespace rs = reasched::sim;
 
 TEST(Trace, RoundTripPreservesEverything) {
-  auto jobs = rw::make_generator(rw::Scenario::kHeterogeneousMix)->generate(25, 99);
+  auto jobs = rw::generate_scenario("hetero_mix", 25, 99);
   jobs[3].dependencies = {1, 2};
   jobs[10].dependencies = {4};
 
@@ -31,7 +31,7 @@ TEST(Trace, RoundTripPreservesEverything) {
 }
 
 TEST(Trace, SaveLoadFile) {
-  const auto jobs = rw::make_generator(rw::Scenario::kResourceSparse)->generate(5, 1);
+  const auto jobs = rw::generate_scenario("resource_sparse", 5, 1);
   const std::string path = ::testing::TempDir() + "/reasched_trace_test.csv";
   rw::save_jobs(jobs, path);
   const auto loaded = rw::load_jobs(path);
