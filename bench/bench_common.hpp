@@ -1,45 +1,16 @@
 #pragma once
 
-// Shared helpers for the figure benches: results directory resolution and
-// latency-summary formatting.
+// Shared helpers for the benches: the BenchJson collector and the banner.
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/json_writer.hpp"
-#include "util/stats.hpp"
-#include "util/string_utils.hpp"
-#include "util/table.hpp"
 
 namespace reasched::bench {
-
-/// Directory for CSV outputs; created on demand. Override with the
-/// REASCHED_RESULTS_DIR environment variable.
-inline std::string results_dir() {
-  const char* env = std::getenv("REASCHED_RESULTS_DIR");
-  std::string dir = env != nullptr ? env : "results";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  return dir;
-}
-
-inline std::string results_path(const std::string& filename) {
-  return results_dir() + "/" + filename;
-}
-
-/// One row of latency-distribution statistics (Figures 5-6, right panels).
-inline std::vector<std::string> latency_stat_cells(const std::vector<double>& xs) {
-  const auto box = util::box_stats(xs);
-  return {util::TextTable::num(util::mean(xs), 1), util::TextTable::num(box.median, 1),
-          util::TextTable::num(util::quantile(xs, 0.95), 1),
-          util::TextTable::num(box.max, 1), std::to_string(box.outliers.size())};
-}
 
 /// Flat {"metric/name": value} JSON collector for the CI bench-regression
 /// gate: the scaling benches record their decisions/sec figures here and

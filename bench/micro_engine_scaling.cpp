@@ -39,6 +39,7 @@
 #include "sim/engine.hpp"
 #include "sim/reference_engine.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 #include "util/string_utils.hpp"
 #include "workload/scenario_spec.hpp"
 

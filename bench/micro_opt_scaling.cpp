@@ -41,6 +41,7 @@
 #include "sim/planning_window.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/string_utils.hpp"
 #include "workload/scenario_spec.hpp"
 
 using namespace reasched;

@@ -38,6 +38,7 @@
 #include "obs/metrics_registry.hpp"
 #include "service/service_engine.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
 

@@ -11,7 +11,7 @@
 namespace reasched::harness {
 
 /// Persistence for downstream analysis: everything a run produced, in
-/// machine-readable form. The figure benches use the CSV side; the JSON
+/// machine-readable form. bench/repro uses the CSV side; the JSON
 /// export bundles schedule + decisions + metrics + overhead into a single
 /// self-describing document per run.
 

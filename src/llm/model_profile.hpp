@@ -52,7 +52,8 @@ ModelProfile o4mini_profile();
 
 /// Extension (paper Sections 3.7.3 / 6): a hypothetical on-prem fast
 /// reasoning model - Claude-like decisions at ~20x lower latency. Used by
-/// bench/ablation_deployment to project deployment feasibility.
+/// the `ablation_deployment` row of bench/repro to project deployment
+/// feasibility.
 ModelProfile fast_local_profile();
 
 }  // namespace reasched::llm

@@ -33,8 +33,9 @@ struct EvalPolicy {
 ///   kTolerance     caller accepts only when improves(score, cutoff)
 enum class CutoffMode { kGreaterEqual, kGreater, kTolerance };
 
-/// Observability counters for the benches (ablation_solvers reports cutoff
-/// hit rates so the speedup is attributable, not just observed).
+/// Observability counters for the benches (the `ablation_solvers` row of
+/// bench/repro reports cutoff hit rates so the speedup is attributable, not
+/// just observed).
 struct EvalStats {
   std::size_t evaluations = 0;    ///< candidate evaluations (aborted included)
   std::size_t cutoff_hits = 0;    ///< evaluations aborted by the bound

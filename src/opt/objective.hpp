@@ -13,8 +13,8 @@ namespace reasched::opt {
 /// throughput, degraded wait/turnaround and fairness at scale.
 ///
 /// `completion_weight` / `wait_weight` > 0 are ablation knobs
-/// (bench/ablation_policy_weights) showing how adding completion-time or
-/// fairness terms trades utilization away.
+/// (the `ablation_policy_weights` row of bench/repro) showing how adding
+/// completion-time or fairness terms trades utilization away.
 struct ObjectiveWeights {
   double makespan_weight = 1.0;
   double completion_weight = 0.0;

@@ -11,9 +11,9 @@
 
 namespace reasched::sim {
 
-/// Engine knobs. Defaults reproduce the paper's setup; the ablation bench
-/// flips `feedback_enabled` to probe the value of natural-language feedback
-/// (Section 2.4).
+/// Engine knobs. Defaults reproduce the paper's setup; the
+/// `ablation_agent_components` row of bench/repro flips `feedback_enabled`
+/// to probe the value of natural-language feedback (Section 2.4).
 struct EngineConfig {
   ClusterSpec cluster = ClusterSpec::paper_default();
   /// Consecutive invalid actions tolerated at one decision point before the

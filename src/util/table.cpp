@@ -19,13 +19,12 @@ void TextTable::add_row(std::vector<std::string> cells) {
 void TextTable::add_rule() { pending_rule_ = true; }
 
 namespace {
+/// A body cell is numeric when it starts with a digit, or with a sign and a
+/// digit: "12", "-0.5", "1.234x", "12.3%" and durations like "3m 4.1s" are
+/// right-aligned together, while "n/a" and labels stay left-aligned.
 bool looks_numeric(const std::string& s) {
-  if (s.empty()) return false;
-  std::size_t digits = 0;
-  for (const char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) ++digits;
-  }
-  return digits * 2 >= s.size();
+  const std::size_t i = !s.empty() && (s[0] == '-' || s[0] == '+') ? 1 : 0;
+  return i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])) != 0;
 }
 }  // namespace
 

@@ -5,8 +5,9 @@
 
 namespace reasched::util {
 
-/// ASCII table renderer used by every figure bench to print the paper-style
-/// rows/series. Numeric cells are right-aligned, text left-aligned.
+/// ASCII table renderer used by bench/repro and the examples to print the
+/// paper-style rows/series. Body cells that start with a digit (or a sign
+/// and a digit) are right-aligned, everything else left-aligned.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);

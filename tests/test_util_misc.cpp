@@ -36,6 +36,19 @@ TEST(TextTable, Formatters) {
   EXPECT_EQ(ru::TextTable::na(), "n/a");
 }
 
+TEST(TextTable, RightAlignsEveryCellThatStartsWithADigit) {
+  // Durations mix digits and unit letters; a column of them must still line
+  // up on the right, while "n/a" and labels stay left-aligned.
+  ru::TextTable t({"Elapsed", "Label"});
+  t.add_row({"40.3s", "Claude 3.7"});
+  t.add_row({"3m 4.1s", "n/a"});
+  t.add_row({"-1.5", "+x"});
+  const std::string out = t.render();
+  EXPECT_NE(out.find("|   40.3s | Claude 3.7 |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| 3m 4.1s | n/a        |"), std::string::npos) << out;
+  EXPECT_NE(out.find("|    -1.5 | +x         |"), std::string::npos) << out;
+}
+
 TEST(TextTable, ShortRowsPadded) {
   ru::TextTable t({"a", "b", "c"});
   t.add_row({"only"});
