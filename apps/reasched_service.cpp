@@ -4,7 +4,6 @@
 //   reasched_service --method fcfs --seed 42
 //   reasched_service --scenario bursty_idle --batch-jobs 100 --batches 2
 //   reasched_service --restore snap.json          # resume a checkpoint
-//   reasched_service --stress-submitters 4        # concurrent smoke (TSan)
 //
 // Protocol (one JSON object per line; see src/service/protocol.hpp):
 //   {"op":"submit","job":{"duration":60,"nodes":4}}
@@ -26,7 +25,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics_registry.hpp"
@@ -37,6 +38,7 @@
 #include "service/session.hpp"
 #include "service/snapshot.hpp"
 #include "util/cli.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
@@ -54,9 +56,21 @@ void print_usage() {
       "  --trace-out PATH       write the decision trace (JSON lines) on exit\n"
       "  --obs                  enable telemetry (metrics registry + span tracer)\n"
       "  --obs-trace-out PATH   write a Chrome trace-event JSON on exit (implies --obs)\n"
-      "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n"
-      "  --stress-submitters N  run the concurrent smoke instead of the stdin loop\n"
-      "  --stress-requests N    requests per stress submitter (default 64)\n");
+      "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n");
+}
+
+/// A count flag: an integer in [0, INT_MAX] (what a snapshot can restore),
+/// else std::invalid_argument. Negative values must not wrap to SIZE_MAX -
+/// `--batches -1` would otherwise be a finite stream that never ends.
+std::size_t count_flag(const reasched::util::CliArgs& args, const char* name,
+                       long long fallback) {
+  const long long n = args.get_int(name, fallback);
+  if (n < 0 || n > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(reasched::util::format(
+        "--%s must be an integer in [0, %d] (got %lld)", name,
+        std::numeric_limits<int>::max(), n));
+  }
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -78,12 +92,12 @@ int main(int argc, char** argv) {
       config.method = harness::MethodSpec::parse(args.get("method", "fcfs"));
       config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
       config.engine.enforce_walltime = args.has("enforce-walltime");
-      const auto batch_jobs = static_cast<std::size_t>(args.get_int("batch-jobs", 0));
+      const std::size_t batch_jobs = count_flag(args, "batch-jobs", 0);
+      const std::size_t batches = count_flag(args, "batches", 1);
       if (batch_jobs > 0) {
-        config.stream = workload::make_stream_spec(
-            args.get("scenario", "hetero_mix"), batch_jobs,
-            static_cast<std::size_t>(args.get_int("batches", 1)),
-            args.get_double("rate-scale", 1.0));
+        config.stream = workload::make_stream_spec(args.get("scenario", "hetero_mix"),
+                                                   batch_jobs, batches,
+                                                   args.get_double("rate-scale", 1.0));
       }
       engine = std::make_unique<service::ServiceEngine>(config);
     }
@@ -100,19 +114,7 @@ int main(int argc, char** argv) {
         obs::make_file_sink(args.get("runlog-out", "")), service::ServiceEngine::runlog_columns()));
   }
 
-  service::LoopStats stats;
-  const auto n_stress = static_cast<std::size_t>(args.get_int("stress-submitters", 0));
-  if (n_stress > 0) {
-    service::SessionTable sessions;
-    service::ResultSink sink(nullptr, /*keep=*/false);
-    stats = service::run_concurrent_session(
-        *engine, n_stress, static_cast<std::size_t>(args.get_int("stress-requests", 64)),
-        sessions, sink);
-    std::fprintf(stderr, "stress: %zu sessions, %zu requests, %zu errors, %zu responses\n",
-                 sessions.snapshot().size(), stats.n_requests, stats.n_errors, sink.count());
-  } else {
-    stats = service::run_service_loop(*engine, std::cin, std::cout);
-  }
+  service::run_service_loop(*engine, std::cin, std::cout);
 
   if (args.has("trace-out")) {
     const std::string path = args.get("trace-out", "");

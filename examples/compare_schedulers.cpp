@@ -13,10 +13,12 @@
 //                                 [--threads 0] [--static] [--extensions] [--raw]
 //                                 [--method SPEC]... [--list-methods] [--list-scenarios]
 //                                 [--obs] [--trace-out trace.json] [--runlog-out cells.csv]
-//   ./examples/compare_schedulers --scenario "mix(long_job:0.2,resource_sparse:0.8)" \
+//   ./examples/compare_schedulers --scenario "mix(long_job:0.2,resource_sparse:0.8)"
 //       --method fcfs --method "opt:portfolio?budget=2000&window=sjf:64"
-//   ./examples/compare_schedulers \
+//   ./examples/compare_schedulers
 //       --scenario "hetero_mix?walltime_noise=1.0:3.0|dag?fanout=4&depth=3"
+//
+// (each example above is one command line, wrapped to fit.)
 
 #include <cstdio>
 #include <iostream>
@@ -25,7 +27,6 @@
 #include <optional>
 #include <utility>
 
-#include "harness/export.hpp"
 #include "harness/method_spec.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/report.hpp"

@@ -28,9 +28,11 @@ struct RunOutcome {
   std::optional<OverheadSummary> overhead;  ///< present for LLM methods
 };
 
-/// Run `method` over `jobs` with the given seed/engine config. The engine
-/// config's cluster must match the one the jobs were generated for. Accepts
-/// any spec (enum values and string literals convert implicitly):
+/// Run `method` over `jobs` with the given seed/engine config: one
+/// sim::Engine::run, then the metrics (when any job completed) and, for an
+/// agent, its overhead summary. The engine config's cluster must match the
+/// one the jobs were generated for. Accepts any spec (string literals
+/// convert implicitly):
 /// `run_method(jobs, "agent:claude37?window=arrival:32", seed)`.
 RunOutcome run_method(const std::vector<sim::Job>& jobs, const MethodSpec& method,
                       std::uint64_t seed, const sim::EngineConfig& engine_config = {});

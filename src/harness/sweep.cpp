@@ -3,6 +3,7 @@
 #include <set>
 #include <tuple>
 
+#include "util/json_writer.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
@@ -157,6 +158,21 @@ std::map<GroupKey, metrics::MetricAggregate> aggregate_sweep(
     groups[GroupKey{cell.scenario, cell.n_jobs, cell.method}].add(outcome.metrics);
   }
   return groups;
+}
+
+std::vector<std::string> cell_runlog_columns() {
+  std::vector<std::string> cols{"scenario", "jobs", "method", "rep"};
+  for (const auto metric : metrics::all_metrics()) cols.push_back(metrics::to_string(metric));
+  return cols;
+}
+
+std::vector<std::string> cell_runlog_row(const Cell& cell, const RunOutcome& outcome) {
+  std::vector<std::string> row{cell.scenario.to_string(), std::to_string(cell.n_jobs),
+                               cell.method.to_string(), std::to_string(cell.repetition)};
+  for (const auto metric : metrics::all_metrics()) {
+    row.push_back(util::format_double_exact(outcome.metrics.get(metric)));
+  }
+  return row;
 }
 
 }  // namespace reasched::harness

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -107,5 +108,16 @@ struct StreamedSweep {
 StreamedSweep run_sweep_streaming(
     const SweepConfig& config,
     const std::function<void(const Cell&, const RunOutcome&)>& on_cell = {});
+
+/// Column names of a per-cell streaming run-log row (obs::RunLog): the cell
+/// key (canonical scenario spec, jobs, canonical method spec, repetition)
+/// followed by one column per metric in `metrics::all_metrics()` order.
+std::vector<std::string> cell_runlog_columns();
+
+/// One row matching cell_runlog_columns(); doubles are round-trip exact.
+/// Pairs with `run_sweep_streaming`'s on_cell hook: rows arrive in cell
+/// *completion* order (nondeterministic under threads), so consumers sort
+/// by the leading key columns when order matters.
+std::vector<std::string> cell_runlog_row(const Cell& cell, const RunOutcome& outcome);
 
 }  // namespace reasched::harness

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
-#include <cmath>
+#include <limits>
+#include <optional>
 
 #include "util/string_utils.hpp"
 
@@ -15,13 +16,22 @@ double require_number(const util::JsonValue& v, const char* key) {
   return v.at(key).as_number();
 }
 
-sim::JobId id_from(const util::JsonValue& v, const char* key) {
-  const double raw = require_number(v, key);
-  const double rounded = std::nearbyint(raw);
-  if (raw != rounded) {
-    throw ProtocolError(util::format("request: field \"%s\" must be an integer", key));
+/// The one reader of every integer field (ids, nodes, user, group,
+/// dependency entries): integral and within int's range, or a ProtocolError
+/// naming `field`.
+int exact_int(const util::JsonValue& v, const std::string& field) {
+  const std::optional<int> n = v.exact_int();
+  if (!n) {
+    throw ProtocolError(util::format("request: field \"%s\" must be an integer in [%d, %d]",
+                                     field.c_str(), std::numeric_limits<int>::min(),
+                                     std::numeric_limits<int>::max()));
   }
-  return static_cast<sim::JobId>(rounded);
+  return *n;
+}
+
+int int_from(const util::JsonValue& v, const char* key) {
+  require_number(v, key);
+  return exact_int(v.at(key), key);
 }
 
 }  // namespace
@@ -47,12 +57,12 @@ sim::Job job_from_json(const util::JsonValue& v) {
   sim::Job job;
   job.duration = require_number(v, "duration");
   job.walltime = v.number_or("walltime", job.duration);
-  job.nodes = static_cast<int>(require_number(v, "nodes"));
+  job.nodes = int_from(v, "nodes");
   job.memory_gb = v.number_or("memory_gb", 1.0);
   job.submit_time = v.number_or("submit_time", 0.0);
-  if (v.contains("id")) job.id = id_from(v, "id");
-  if (v.contains("user")) job.user = id_from(v, "user");
-  if (v.contains("group")) job.group = id_from(v, "group");
+  if (v.contains("id")) job.id = int_from(v, "id");
+  if (v.contains("user")) job.user = int_from(v, "user");
+  if (v.contains("group")) job.group = int_from(v, "group");
   if (v.contains("dependencies")) {
     const util::JsonValue& deps = v.at("dependencies");
     if (!deps.is_array()) throw ProtocolError("request: \"dependencies\" must be an array");
@@ -60,7 +70,7 @@ sim::Job job_from_json(const util::JsonValue& v) {
       if (!deps.at(i).is_number()) {
         throw ProtocolError("request: \"dependencies\" entries must be job ids");
       }
-      job.dependencies.push_back(static_cast<sim::JobId>(deps.at(i).as_number()));
+      job.dependencies.push_back(exact_int(deps.at(i), util::format("dependencies[%zu]", i)));
     }
   }
   return job;
@@ -87,11 +97,11 @@ Request parse_request(const std::string& line) {
     req.op = Request::Op::kQuery;
     if (doc.contains("id")) {
       req.has_id = true;
-      req.id = id_from(doc, "id");
+      req.id = int_from(doc, "id");
     }
   } else if (op == "cancel") {
     req.op = Request::Op::kCancel;
-    req.id = id_from(doc, "id");
+    req.id = int_from(doc, "id");
   } else if (op == "advance") {
     req.op = Request::Op::kAdvance;
     req.to = require_number(doc, "to");

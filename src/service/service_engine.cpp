@@ -119,7 +119,7 @@ sim::JobId ServiceEngine::submit(sim::Job job) {
       if (std::pair<double, sim::JobId>{it->second, dep} >= key) {
         throw std::invalid_argument(util::format(
             "ServiceEngine: job %d depends on job %d, which is not earlier in arrival order "
-            "(forward dependencies are a batch replay feature)",
+            "(forward dependencies are a batch-run feature)",
             job.id, dep));
       }
     } else if (!core_->table().contains(dep)) {
@@ -271,29 +271,12 @@ DrainResult ServiceEngine::drain() {
   return finish_drain();
 }
 
-DrainResult ServiceEngine::replay(const std::vector<sim::Job>& jobs) {
-  ensure_accepting("replay");
-  if (!ops_.empty() || stream_.has_value()) {
-    throw std::logic_error(
-        "ServiceEngine: replay must be the first operation of a stream-less session");
-  }
-  sim::validate_jobs(jobs, engine_config_.cluster);
-  core_->load(jobs);
-  for (const sim::Job& j : jobs) next_id_ = std::max(next_id_, j.id + 1);
-  ServiceOp op;
-  op.kind = ServiceOp::Kind::kReplay;
-  op.jobs = jobs;
-  ops_.push_back(std::move(op));
-  return finish_drain();
-}
-
 void ServiceEngine::apply(const ServiceOp& op) {
   switch (op.kind) {
     case ServiceOp::Kind::kSubmit: submit(op.job); break;
     case ServiceOp::Kind::kCancel: cancel(op.id); break;
     case ServiceOp::Kind::kAdvance: advance_to(op.to); break;
     case ServiceOp::Kind::kDrain: drain(); break;
-    case ServiceOp::Kind::kReplay: replay(op.jobs); break;
   }
 }
 

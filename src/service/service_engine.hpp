@@ -38,12 +38,11 @@ struct ServiceConfig {
 /// engine, schedulers, solvers, generators - is deterministic, which the
 /// determinism lint enforces statically).
 struct ServiceOp {
-  enum class Kind { kSubmit, kCancel, kAdvance, kDrain, kReplay };
+  enum class Kind { kSubmit, kCancel, kAdvance, kDrain };
   Kind kind = Kind::kSubmit;
-  sim::Job job;                ///< kSubmit (post-normalization: id assigned)
-  std::vector<sim::Job> jobs;  ///< kReplay
-  sim::JobId id = 0;           ///< kCancel
-  double to = 0.0;             ///< kAdvance
+  sim::Job job;       ///< kSubmit (post-normalization: id assigned)
+  sim::JobId id = 0;  ///< kCancel
+  double to = 0.0;    ///< kAdvance
 };
 
 /// Aggregate session counters for `query` responses and smoke checks.
@@ -62,8 +61,7 @@ struct ServiceStatus {
   bool drained = false;
 };
 
-/// Result of drain()/replay(): the finished schedule plus its metrics -
-/// what the batch harness consumes.
+/// Result of drain(): the finished schedule plus its metrics.
 struct DrainResult {
   metrics::MetricSet metrics;
   sim::ScheduleResult schedule;
@@ -72,8 +70,8 @@ struct DrainResult {
 /// The online scheduling session: an RJMS-shaped facade over
 /// sim::EngineCore. Clients submit/cancel jobs and advance simulated time;
 /// a configured ArrivalStream feeds additional jobs as the clock moves. All
-/// externally-visible mutations go through the five logged operations
-/// (submit, cancel, advance, drain, replay), which is what makes
+/// externally-visible mutations go through the four logged operations
+/// (submit, cancel, advance, drain), which is what makes
 /// checkpoint/restart exact: config + op log fully determine the state.
 ///
 /// Ordering contract: the engine's job table appends in arrival order, so
@@ -84,7 +82,7 @@ struct DrainResult {
 /// rejected at submit (choose a larger id or let the service assign one).
 /// Dependencies must reference already-accepted, non-cancelled jobs
 /// (backward in arrival order) - arbitrary forward DAGs remain a
-/// batch-mode (replay) feature.
+/// batch-mode (sim::Engine::run) feature.
 class ServiceEngine {
  public:
   explicit ServiceEngine(ServiceConfig config);
@@ -115,12 +113,6 @@ class ServiceEngine {
   /// as sim::Engine::run over the same jobs. Throws std::logic_error on
   /// endless streams (max_batches == 0). The session becomes kDrained.
   DrainResult drain();
-
-  /// Batch client entry: load `jobs` wholesale (arbitrary DAGs, exactly
-  /// Engine::run's validation) and drain. Legal only as the first
-  /// operation of a stream-less session. This is how harness::run_method
-  /// is expressed as one client of the service.
-  DrainResult replay(const std::vector<sim::Job>& jobs);
 
   /// Re-apply one logged operation (snapshot restore path).
   void apply(const ServiceOp& op);

@@ -2,135 +2,12 @@
 
 #include <istream>
 #include <ostream>
-#include <stdexcept>
-#include <thread>
 
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "service/snapshot.hpp"
-#include "util/rng.hpp"
-#include "util/string_utils.hpp"
 
 namespace reasched::service {
-
-MessageQueue::MessageQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-bool MessageQueue::push(Envelope e) {
-  {
-    util::MutexLock lock(mu_);
-    while (items_.size() >= capacity_ && !closed_) not_full_.wait(mu_);
-    if (closed_) return false;
-    items_.push_back(std::move(e));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
-std::optional<Envelope> MessageQueue::pop() {
-  std::optional<Envelope> e;
-  {
-    util::MutexLock lock(mu_);
-    while (items_.empty() && !closed_) not_empty_.wait(mu_);
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    e.emplace(std::move(items_.front()));
-    items_.pop_front();
-  }
-  not_full_.notify_one();
-  return e;
-}
-
-void MessageQueue::close() {
-  {
-    util::MutexLock lock(mu_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-std::size_t MessageQueue::size() const {
-  util::MutexLock lock(mu_);
-  return items_.size();
-}
-
-bool MessageQueue::closed() const {
-  util::MutexLock lock(mu_);
-  return closed_;
-}
-
-std::uint64_t SessionTable::open(std::string name) {
-  util::MutexLock lock(mu_);
-  const std::uint64_t id = next_id_++;
-  SessionInfo info;
-  info.id = id;
-  info.name = std::move(name);
-  sessions_.emplace(id, std::move(info));
-  return id;
-}
-
-void SessionTable::record(std::uint64_t id, bool ok) {
-  util::MutexLock lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    throw std::invalid_argument(util::format("SessionTable: unknown session %llu",
-                                             static_cast<unsigned long long>(id)));
-  }
-  ++it->second.n_requests;
-  if (!ok) ++it->second.n_errors;
-}
-
-void SessionTable::close(std::uint64_t id) {
-  util::MutexLock lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    throw std::invalid_argument(util::format("SessionTable: unknown session %llu",
-                                             static_cast<unsigned long long>(id)));
-  }
-  it->second.open = false;
-}
-
-std::size_t SessionTable::n_open() const {
-  util::MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [id, info] : sessions_) {
-    if (info.open) ++n;
-  }
-  return n;
-}
-
-std::size_t SessionTable::total_requests() const {
-  util::MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [id, info] : sessions_) n += info.n_requests;
-  return n;
-}
-
-std::vector<SessionInfo> SessionTable::snapshot() const {
-  util::MutexLock lock(mu_);
-  std::vector<SessionInfo> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, info] : sessions_) out.push_back(info);
-  return out;
-}
-
-ResultSink::ResultSink(std::ostream* out, bool keep) : out_(out), keep_(keep) {}
-
-void ResultSink::append(const std::string& line) {
-  util::MutexLock lock(mu_);
-  if (out_ != nullptr) *out_ << line << '\n';
-  if (keep_) lines_.push_back(line);
-  ++count_;
-}
-
-std::size_t ResultSink::count() const {
-  util::MutexLock lock(mu_);
-  return count_;
-}
-
-std::vector<std::string> ResultSink::lines() const {
-  util::MutexLock lock(mu_);
-  return lines_;
-}
 
 std::string handle_request(ServiceEngine& engine, const Request& request, bool& shutdown) {
   try {
@@ -185,69 +62,6 @@ LoopStats run_service_loop(ServiceEngine& engine, std::istream& in, std::ostream
     // not sit in a full-buffered redirect.
     out << response << std::endl;
   }
-  return stats;
-}
-
-LoopStats run_concurrent_session(ServiceEngine& engine, std::size_t n_submitters,
-                                 std::size_t requests_per_submitter, SessionTable& sessions,
-                                 ResultSink& sink) {
-  MessageQueue queue(/*capacity=*/64);
-  const std::uint64_t seed = engine.config().seed;
-
-  std::vector<std::thread> submitters;
-  submitters.reserve(n_submitters);
-  for (std::size_t s = 0; s < n_submitters; ++s) {
-    submitters.emplace_back([&queue, &sessions, seed, s, requests_per_submitter] {
-      const std::uint64_t session =
-          sessions.open(util::format("submitter-%zu", s));
-      util::Rng rng(util::derive_seed(seed, "stress-submitter", s));
-      for (std::uint64_t i = 0; i < requests_per_submitter; ++i) {
-        std::string line;
-        const std::int64_t roll = rng.uniform_int(0, 9);
-        if (roll < 8) {
-          // Submit a small deterministic job; the service assigns the id.
-          line = util::format(
-              "{\"op\":\"submit\",\"job\":{\"duration\":%lld,\"nodes\":%lld,"
-              "\"memory_gb\":%lld,\"user\":%lld}}",
-              static_cast<long long>(rng.uniform_int(10, 600)),
-              static_cast<long long>(rng.uniform_int(1, 8)),
-              static_cast<long long>(rng.uniform_int(1, 32)),
-              static_cast<long long>(rng.uniform_int(1, 5)));
-        } else if (roll == 8) {
-          line = "{\"op\":\"query\"}";
-        } else {
-          // Cancel a random id; often unknown or already placed - both are
-          // legitimate protocol outcomes the consumer must survive.
-          line = util::format("{\"op\":\"cancel\",\"id\":%lld}",
-                              static_cast<long long>(rng.uniform_int(1, 50)));
-        }
-        if (!queue.push(Envelope{session, i, std::move(line)})) break;
-      }
-      sessions.close(session);
-    });
-  }
-
-  LoopStats stats;
-  std::thread consumer([&queue, &engine, &sessions, &sink, &stats] {
-    while (auto envelope = queue.pop()) {
-      ++stats.n_requests;
-      std::string response;
-      try {
-        const Request request = parse_request(envelope->line);
-        response = handle_request(engine, request, stats.shutdown);
-      } catch (const ProtocolError& e) {
-        response = render_error(e.what());
-      }
-      const bool ok = response.rfind("{\"ok\":false", 0) != 0;
-      if (!ok) ++stats.n_errors;
-      sessions.record(envelope->session, ok);
-      sink.append(response);
-    }
-  });
-
-  for (std::thread& t : submitters) t.join();
-  queue.close();
-  consumer.join();
   return stats;
 }
 

@@ -1,110 +1,13 @@
 #pragma once
 
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <iosfwd>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/service_engine.hpp"
-#include "util/sync.hpp"
 
 namespace reasched::service {
-
-/// Shared state between client-facing reader threads and the single engine
-/// thread. The ServiceEngine itself is single-threaded by design (the
-/// simulator is a sequential state machine); concurrency lives entirely in
-/// these three primitives, which therefore carry ThreadPool-style contract
-/// tests and run under TSan in CI with >= 4 concurrent submitters.
-
-/// One inbound request line, stamped with its origin for response routing
-/// and per-session accounting.
-struct Envelope {
-  std::uint64_t session = 0;  ///< SessionTable id of the submitter
-  std::uint64_t seq = 0;      ///< submitter-local sequence number
-  std::string line;           ///< raw protocol line
-};
-
-/// Bounded MPSC queue of inbound requests. push() blocks while the queue is
-/// full (backpressure on submitters) and returns false once closed; pop()
-/// blocks until an item arrives and returns nullopt once the queue is
-/// closed *and* drained, so the consumer processes every accepted request
-/// before exiting.
-class MessageQueue {
- public:
-  explicit MessageQueue(std::size_t capacity);
-
-  bool push(Envelope e);
-  std::optional<Envelope> pop();
-  /// No further pushes accepted; wakes every blocked producer and, once the
-  /// backlog drains, the consumer.
-  void close();
-
-  std::size_t size() const;
-  bool closed() const;
-
- private:
-  mutable util::Mutex mu_;
-  util::CondVar not_full_;
-  util::CondVar not_empty_;
-  std::deque<Envelope> items_ GUARDED_BY(mu_);
-  const std::size_t capacity_;  // set once at construction; no guard needed
-  bool closed_ GUARDED_BY(mu_) = false;
-};
-
-/// One client session's accounting entry.
-struct SessionInfo {
-  std::uint64_t id = 0;
-  std::string name;
-  std::size_t n_requests = 0;
-  std::size_t n_errors = 0;
-  bool open = true;
-};
-
-/// Thread-safe registry of client sessions: who is connected and how many
-/// requests/errors each produced. Reader threads open/record concurrently.
-class SessionTable {
- public:
-  std::uint64_t open(std::string name);
-  /// Count one handled request (ok or error) for `id`; throws
-  /// std::invalid_argument for unknown ids.
-  void record(std::uint64_t id, bool ok);
-  void close(std::uint64_t id);
-
-  std::size_t n_open() const;
-  std::size_t total_requests() const;
-  /// Consistent copy, ordered by session id.
-  std::vector<SessionInfo> snapshot() const;
-
- private:
-  mutable util::Mutex mu_;
-  std::map<std::uint64_t, SessionInfo> sessions_ GUARDED_BY(mu_);
-  std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
-};
-
-/// Serialized response channel: appends are atomic lines, optionally
-/// tee'd to an ostream (the service binary passes stdout) and optionally
-/// retained for inspection (tests, stress harness).
-class ResultSink {
- public:
-  explicit ResultSink(std::ostream* out = nullptr, bool keep = true);
-
-  void append(const std::string& line);
-  std::size_t count() const;
-  std::vector<std::string> lines() const;
-
- private:
-  mutable util::Mutex mu_;
-  /// The stream pointer and keep flag are set once at construction; only
-  /// the stream's *contents* (written through the lock) are shared state.
-  std::ostream* const out_;
-  const bool keep_;
-  std::vector<std::string> lines_ GUARDED_BY(mu_);
-  std::size_t count_ GUARDED_BY(mu_) = 0;
-};
 
 /// Outcome of a service loop run.
 struct LoopStats {
@@ -122,17 +25,5 @@ std::string handle_request(ServiceEngine& engine, const Request& request, bool& 
 /// out, until EOF or shutdown. This is what `reasched_service` runs on
 /// stdin/stdout.
 LoopStats run_service_loop(ServiceEngine& engine, std::istream& in, std::ostream& out);
-
-/// The concurrent smoke harness behind `reasched_service
-/// --stress-submitters N` and the TSan service test: N submitter threads
-/// push deterministic per-thread request streams (submits with occasional
-/// queries and cancels) through a bounded MessageQueue while the single
-/// consumer applies them to the engine, routes responses through a
-/// ResultSink and accounts per-session in a SessionTable. The engine-side
-/// interleaving is admission-order nondeterministic by nature; the point is
-/// exercising the shared state under TSan, not a golden.
-LoopStats run_concurrent_session(ServiceEngine& engine, std::size_t n_submitters,
-                                 std::size_t requests_per_submitter, SessionTable& sessions,
-                                 ResultSink& sink);
 
 }  // namespace reasched::service

@@ -1,6 +1,8 @@
 #include "service/snapshot.hpp"
 
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "service/protocol.hpp"
@@ -20,7 +22,6 @@ const char* op_name(ServiceOp::Kind kind) {
     case ServiceOp::Kind::kCancel: return "cancel";
     case ServiceOp::Kind::kAdvance: return "advance";
     case ServiceOp::Kind::kDrain: return "drain";
-    case ServiceOp::Kind::kReplay: return "replay";
   }
   return "?";  // unreachable
 }
@@ -34,6 +35,19 @@ double exact_number(const util::JsonValue& v, const char* key) {
     throw SnapshotError(util::format("snapshot: missing numeric field \"%s\"", key));
   }
   return v.at(key).as_number();
+}
+
+/// Every integer field: integral, at least `min` and within int's range.
+/// The range check comes before any cast - casting an out-of-range double
+/// is undefined behaviour.
+int exact_int(const util::JsonValue& v, const char* key,
+              int min = std::numeric_limits<int>::min()) {
+  const std::optional<int> n = v.contains(key) ? v.at(key).exact_int() : std::nullopt;
+  if (!n || *n < min) {
+    throw SnapshotError(util::format("snapshot: field \"%s\" must be an integer in [%d, %d]",
+                                     key, min, std::numeric_limits<int>::max()));
+  }
+  return *n;
 }
 
 }  // namespace
@@ -79,11 +93,6 @@ std::string snapshot_to_json(const ServiceEngine& engine) {
       case ServiceOp::Kind::kCancel: w.kv("id", op.id); break;
       case ServiceOp::Kind::kAdvance: w.kv_exact("to", op.to); break;
       case ServiceOp::Kind::kDrain: break;
-      case ServiceOp::Kind::kReplay:
-        w.key("jobs").begin_array();
-        for (const sim::Job& j : op.jobs) job_to_json(w, j);
-        w.end_array();
-        break;
     }
     w.end_object();
   }
@@ -123,21 +132,21 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
     config.method = harness::MethodSpec::parse(cfg.at("method").as_string());
     config.seed = std::stoull(cfg.at("seed").as_string());
     const util::JsonValue& eng = cfg.at("engine");
-    config.engine.max_invalid_retries = static_cast<int>(exact_number(eng, "max_invalid_retries"));
+    config.engine.max_invalid_retries = exact_int(eng, "max_invalid_retries");
     config.engine.feedback_enabled = eng.at("feedback_enabled").as_bool();
     config.engine.record_traces = eng.at("record_traces").as_bool();
     config.engine.enforce_walltime = eng.at("enforce_walltime").as_bool();
     const util::JsonValue& cluster = eng.at("cluster");
-    config.engine.cluster.total_nodes = static_cast<int>(exact_number(cluster, "total_nodes"));
+    config.engine.cluster.total_nodes = exact_int(cluster, "total_nodes");
     config.engine.cluster.total_memory_gb = exact_number(cluster, "total_memory_gb");
     config.engine.cluster.watts_per_busy_node = exact_number(cluster, "watts_per_busy_node");
     config.engine.cluster.watts_per_idle_node = exact_number(cluster, "watts_per_idle_node");
     const util::JsonValue& stream = cfg.at("stream");
-    const auto batch_jobs = static_cast<std::size_t>(exact_number(stream, "batch_jobs"));
+    const int batch_jobs = exact_int(stream, "batch_jobs", 0);
     if (batch_jobs > 0) {
       config.stream = workload::make_stream_spec(
-          stream.at("scenario").as_string(), batch_jobs,
-          static_cast<std::size_t>(exact_number(stream, "max_batches")),
+          stream.at("scenario").as_string(), static_cast<std::size_t>(batch_jobs),
+          static_cast<std::size_t>(exact_int(stream, "max_batches", 0)),
           exact_number(stream, "rate_scale"));
     }
   } catch (const SnapshotError&) {
@@ -162,17 +171,12 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
         op.job = job_from_json(entry.at("job"));
       } else if (kind == "cancel") {
         op.kind = ServiceOp::Kind::kCancel;
-        op.id = static_cast<sim::JobId>(exact_number(entry, "id"));
+        op.id = exact_int(entry, "id");
       } else if (kind == "advance") {
         op.kind = ServiceOp::Kind::kAdvance;
         op.to = exact_number(entry, "to");
       } else if (kind == "drain") {
         op.kind = ServiceOp::Kind::kDrain;
-      } else if (kind == "replay") {
-        op.kind = ServiceOp::Kind::kReplay;
-        for (const util::JsonValue& j : entry.at("jobs").as_array()) {
-          op.jobs.push_back(job_from_json(j));
-        }
       } else {
         throw SnapshotError(util::format("snapshot: unknown op \"%s\"", kind.c_str()));
       }

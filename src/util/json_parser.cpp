@@ -1,7 +1,9 @@
 #include "util/json_parser.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "util/string_utils.hpp"
@@ -68,6 +70,16 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
   if (!contains(key)) return fallback;
   const auto& v = at(key);
   return v.is_number() ? v.as_number() : fallback;
+}
+
+std::optional<int> JsonValue::exact_int() const {
+  if (!is_number()) return std::nullopt;
+  const double d = std::get<double>(value_);
+  // Both bounds are exact doubles, so the range test is exact; NaN fails it.
+  constexpr double kMin = std::numeric_limits<int>::min();
+  constexpr double kMax = std::numeric_limits<int>::max();
+  if (!(d >= kMin && d <= kMax) || d != std::trunc(d)) return std::nullopt;
+  return static_cast<int>(d);
 }
 
 namespace {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -56,6 +57,12 @@ class JsonValue {
   /// the wrong type (never throws). Convenient for optional provider fields.
   std::string string_or(const std::string& key, const std::string& fallback) const;
   double number_or(const std::string& key, double fallback) const;
+
+  /// The number as an int when it is integral and within int's range;
+  /// nullopt otherwise (non-numbers included). Casting an out-of-range
+  /// double to int is undefined behaviour, so integer fields read from
+  /// untrusted JSON go through here.
+  std::optional<int> exact_int() const;
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;

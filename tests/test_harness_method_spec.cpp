@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "harness/export.hpp"
 #include "harness/method_spec.hpp"
 #include "harness/sweep.hpp"
 #include "spec_grammar_test_helper.hpp"
@@ -217,19 +216,6 @@ TEST(MethodSpec, RunMethodAcceptsSpecLiterals) {
   const auto outcome = rh::run_method(jobs, "agent:claude37?window=arrival:4", 5);
   EXPECT_EQ(outcome.schedule.completed.size(), 8u);
   ASSERT_TRUE(outcome.overhead.has_value());
-
-  // run_to_json mirrors run_method's literal handling: a registered spec
-  // literal exports through the spec path (method_spec present), a display
-  // label stays a plain label.
-  const std::string as_spec = rh::run_to_json(outcome, "agent:claude37?window=arrival:4");
-  EXPECT_NE(as_spec.find("\"method_spec\":\"agent:claude37?window=arrival:4\""),
-            std::string::npos);
-  // ... and identically when the spec arrives as a runtime std::string
-  // (CLI values, config files), not just a literal.
-  EXPECT_EQ(rh::run_to_json(outcome, std::string("agent:claude37?window=arrival:4")), as_spec);
-  const std::string as_label = rh::run_to_json(outcome, "Claude 3.7");
-  EXPECT_EQ(as_label.find("\"method_spec\""), std::string::npos);
-  EXPECT_NE(as_label.find("\"method\":\"Claude 3.7\""), std::string::npos);
 }
 
 // Acceptance: a run_sweep over >= 3 windowed spec variants of one optimizer
@@ -260,12 +246,14 @@ TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
     ASSERT_NE(it, results.end()) << method.to_string();
     EXPECT_EQ(it->second.schedule.completed.size(), 14u) << method.to_string();
 
-    // Spec-keyed export: the JSON bundle records both the presentation label
-    // and the canonical spec, so the variant is reconstructible.
-    const std::string json = rh::run_to_json(it->second, method);
-    EXPECT_NE(json.find("\"method_spec\":\"" + method.to_string() + "\""), std::string::npos)
-        << json.substr(0, 200);
-    EXPECT_NE(json.find(rh::method_label(method)), std::string::npos);
+    // Spec-keyed export: the run-log row leads with the canonical cell key,
+    // so the variant is reconstructible from its row.
+    const std::vector<std::string> row = rh::cell_runlog_row(cell, it->second);
+    ASSERT_EQ(row.size(), rh::cell_runlog_columns().size());
+    EXPECT_EQ(row[0], "hetero_mix");
+    EXPECT_EQ(row[1], "14");
+    EXPECT_EQ(row[2], method.to_string());
+    EXPECT_EQ(row[3], "0");
   }
 
   // The variants are genuinely different methods: distinct seeds via labels.

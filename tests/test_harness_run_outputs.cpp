@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "harness/export.hpp"
+#include <algorithm>
+
+#include "harness/experiment.hpp"
 #include "metrics/gantt.hpp"
-#include "util/json_parser.hpp"
+#include "util/rng.hpp"
 #include "workload/arrival.hpp"
 #include "workload/scenario_spec.hpp"
 
@@ -17,56 +19,6 @@ rh::RunOutcome sample_outcome(const rh::MethodSpec& method) {
   return rh::run_method(jobs, method, 33);
 }
 }  // namespace
-
-TEST(Export, ScheduleCsvShape) {
-  const auto outcome = sample_outcome("fcfs");
-  const auto csv = rh::schedule_to_csv(outcome.schedule);
-  EXPECT_EQ(csv.rows(), 12u);
-  EXPECT_TRUE(csv.has_col("wait"));
-  EXPECT_TRUE(csv.has_col("turnaround"));
-  // wait = start - submit for every row.
-  for (std::size_t i = 0; i < csv.rows(); ++i) {
-    const double submit = std::stod(csv.cell(i, "submit"));
-    const double start = std::stod(csv.cell(i, "start"));
-    const double wait = std::stod(csv.cell(i, "wait"));
-    EXPECT_NEAR(wait, start - submit, 1e-6);
-  }
-}
-
-TEST(Export, DecisionsCsvIncludesRejections) {
-  const auto outcome = sample_outcome("agent:o4mini");
-  const auto csv = rh::decisions_to_csv(outcome.schedule);
-  EXPECT_GE(csv.rows(), 12u);
-  EXPECT_TRUE(csv.has_col("accepted"));
-  EXPECT_TRUE(csv.has_col("feedback"));
-}
-
-TEST(Export, RunJsonParsesBackAndMatches) {
-  const auto outcome = sample_outcome("agent:claude37");
-  const std::string json = rh::run_to_json(outcome, "Claude 3.7");
-  const auto doc = reasched::util::parse_json(json);
-
-  EXPECT_EQ(doc.at("method").as_string(), "Claude 3.7");
-  EXPECT_NEAR(doc.at("metrics").at("Makespan").as_number(), outcome.metrics.makespan,
-              1e-6);
-  EXPECT_EQ(doc.at("schedule").size(), 12u);
-  EXPECT_FALSE(doc.at("overhead").is_null());
-  EXPECT_DOUBLE_EQ(doc.at("overhead").at("successful").as_number(), 12.0);
-  EXPECT_EQ(doc.at("overhead").at("latencies_s").size(), 12u);
-}
-
-TEST(Export, BaselineRunJsonHasNullOverhead) {
-  const auto outcome = sample_outcome("sjf");
-  const auto doc = reasched::util::parse_json(rh::run_to_json(outcome, "SJF"));
-  EXPECT_TRUE(doc.at("overhead").is_null());
-  EXPECT_GE(doc.at("counters").at("decisions").as_number(), 12.0);
-}
-
-TEST(Export, OverheadCsv) {
-  const auto outcome = sample_outcome("agent:claude37");
-  const auto csv = rh::overhead_to_csv(*outcome.overhead, outcome.schedule);
-  EXPECT_EQ(csv.rows(), outcome.overhead->latencies.size());
-}
 
 TEST(Gantt, RendersBarsAndUtilization) {
   const auto outcome = sample_outcome("fcfs");

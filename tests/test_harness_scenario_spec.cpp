@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
-#include "harness/export.hpp"
 #include "harness/sweep.hpp"
 #include "workload/scenario_spec.hpp"
 
@@ -12,7 +13,7 @@ namespace rs = reasched::sim;
 
 // Acceptance: a 6-cell sweep whose scenario axis is pure spec strings -
 // parameterized bases, a mix(...) and a piped transform included - runs
-// through run_sweep_streaming and exports scenario_spec-labeled JSON per
+// through run_sweep_streaming and exports one spec-keyed run-log row per
 // cell, with no enum involvement anywhere.
 TEST(ScenarioSpecSweep, SpecStringAxisThroughStreamingSweepAndExport) {
   rh::SweepConfig config;
@@ -28,10 +29,10 @@ TEST(ScenarioSpecSweep, SpecStringAxisThroughStreamingSweepAndExport) {
   config.base_seed = 555;
   config.threads = 2;
 
-  std::map<rh::Cell, std::string> exports;
+  std::map<rh::Cell, std::vector<std::string>> exports;
   const auto streamed = rh::run_sweep_streaming(
       config, [&exports](const rh::Cell& cell, const rh::RunOutcome& outcome) {
-        exports.emplace(cell, rh::run_to_json(outcome, cell.method, cell.scenario));
+        exports.emplace(cell, rh::cell_runlog_row(cell, outcome));
       });
 
   ASSERT_EQ(streamed.cells.size(), 12u);  // 6 scenarios x 2 methods
@@ -44,14 +45,12 @@ TEST(ScenarioSpecSweep, SpecStringAxisThroughStreamingSweepAndExport) {
       ASSERT_TRUE(streamed.cells.count(cell) != 0) << scenario.to_string();
       const auto it = exports.find(cell);
       ASSERT_NE(it, exports.end()) << scenario.to_string();
-      // The JSON bundle records the canonical scenario spec, so every
-      // perturbed/mixed/piped cell stays losslessly reconstructible.
-      EXPECT_NE(it->second.find("\"scenario_spec\":\"" + scenario.to_string() + "\""),
-                std::string::npos)
-          << it->second.substr(0, 200);
-      EXPECT_NE(it->second.find("\"scenario\":"), std::string::npos);
-      EXPECT_NE(it->second.find("\"method_spec\":\"" + method.to_string() + "\""),
-                std::string::npos);
+      // The row leads with the canonical scenario and method specs, so
+      // every perturbed/mixed/piped cell stays losslessly reconstructible.
+      const std::vector<std::string>& row = it->second;
+      ASSERT_EQ(row.size(), rh::cell_runlog_columns().size());
+      EXPECT_EQ(row[0], scenario.to_string());
+      EXPECT_EQ(row[2], method.to_string());
     }
   }
 

@@ -16,7 +16,7 @@ namespace rs = reasched::sim;
 TEST(Integration, AllScenariosAllPaperMethodsProduceSaneMetrics) {
   for (const auto& scenario : rw::paper_scenario_specs()) {
     const auto jobs = rw::generate_scenario(scenario, 16, 11);
-    for (const auto method : rh::paper_methods()) {
+    for (const auto& method : rh::paper_methods()) {
       const auto outcome = rh::run_method(jobs, method, 11);
       const auto& m = outcome.metrics;
       EXPECT_GT(m.makespan, 0.0);
@@ -77,7 +77,7 @@ TEST(Integration, PolarisTraceEndToEnd) {
   rs::EngineConfig engine;
   engine.cluster = rs::ClusterSpec::polaris();
   std::vector<rm::MethodResult> rows;
-  for (const auto method : rh::paper_methods()) {
+  for (const auto& method : rh::paper_methods()) {
     const auto outcome = rh::run_method(jobs, method, 11, engine);
     EXPECT_EQ(outcome.schedule.completed.size(), 50u) << rh::method_label(method);
     rows.push_back({rh::method_label(method), outcome.metrics});
@@ -126,7 +126,7 @@ TEST(Integration, StaticArrivalFormulationRuns) {
   rw::GenerateOptions options;
   options.arrival_mode = rw::ArrivalMode::kStatic;
   const auto jobs = rw::generate_scenario("hetero_mix", 20, 13, options);
-  for (const auto method : rh::paper_methods()) {
+  for (const auto& method : rh::paper_methods()) {
     const auto outcome = rh::run_method(jobs, method, 13);
     EXPECT_EQ(outcome.schedule.completed.size(), 20u);
     // With s_j = 0, wait equals start time (w_j = x_j).

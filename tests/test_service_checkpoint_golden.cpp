@@ -78,6 +78,27 @@ FinalState finish(rsvc::ServiceEngine& engine) {
   return out;
 }
 
+/// `snapshot` with the first numeric value of `"key"` replaced by `value`.
+std::string with_field(std::string snapshot, const std::string& key, const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t start = snapshot.find(needle);
+  EXPECT_NE(start, std::string::npos) << key;
+  if (start == std::string::npos) return snapshot;
+  const std::size_t from = start + needle.size();
+  const std::size_t to = snapshot.find_first_of(",}", from);
+  return snapshot.replace(from, to - from, value);
+}
+
+/// Restoring `snapshot` must fail with a SnapshotError containing `message`.
+void expect_refused(const std::string& snapshot, const std::string& message) {
+  try {
+    rsvc::restore_snapshot_text(snapshot);
+    ADD_FAILURE() << "restored: " << message;
+  } catch (const rsvc::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+  }
+}
+
 void expect_same_metrics(const rm::MetricSet& a, const rm::MetricSet& b) {
   for (const rm::Metric m : rm::all_metrics()) {
     EXPECT_EQ(a.get(m), b.get(m)) << rm::to_string(m);
@@ -155,6 +176,40 @@ TEST(ServiceCheckpointGolden, TamperedSnapshotsAreRejected) {
 
   EXPECT_THROW(rsvc::restore_snapshot_text("{\"version\":99}"), rsvc::SnapshotError);
   EXPECT_THROW(rsvc::restore_snapshot_text("not json"), rsvc::SnapshotError);
+}
+
+TEST(ServiceCheckpointGolden, BadIntegerFieldsAreRefusedByName) {
+  rsvc::ServiceEngine engine(session_config());
+  drive_reference(engine);
+  const std::string snapshot = rsvc::snapshot_to_json(engine);
+  ASSERT_NO_THROW(rsvc::restore_snapshot_text(snapshot));
+
+  // Negative counts must not wrap through a cast to std::size_t.
+  expect_refused(with_field(snapshot, "batch_jobs", "-1"), "\"batch_jobs\"");
+  expect_refused(with_field(snapshot, "max_batches", "-1"), "\"max_batches\"");
+  // Out of int range or fractional: refused before any cast.
+  expect_refused(with_field(snapshot, "batch_jobs", "1e300"), "\"batch_jobs\"");
+  expect_refused(with_field(snapshot, "max_invalid_retries", "1e300"),
+                 "\"max_invalid_retries\"");
+  expect_refused(with_field(snapshot, "max_invalid_retries", "2.5"),
+                 "\"max_invalid_retries\"");
+  expect_refused(with_field(snapshot, "total_nodes", "-1e300"), "\"total_nodes\"");
+  // The cancel op's id (drive_reference cancels once).
+  const std::size_t cancel = snapshot.find("{\"op\":\"cancel\"");
+  ASSERT_NE(cancel, std::string::npos);
+  expect_refused(snapshot.substr(0, cancel) + with_field(snapshot.substr(cancel), "id", "1e300"),
+                 "\"id\"");
+}
+
+TEST(ServiceCheckpointGolden, UnknownOpIsRefused) {
+  rsvc::ServiceConfig config;
+  config.method = reasched::harness::MethodSpec::parse("fcfs");
+  const std::string empty = rsvc::snapshot_to_json(rsvc::ServiceEngine(config));
+  const std::size_t ops = empty.find("\"ops\":[]");
+  ASSERT_NE(ops, std::string::npos);
+  std::string snapshot = empty;
+  snapshot.replace(ops, 8, "\"ops\":[{\"op\":\"replay\",\"jobs\":[]}]");
+  expect_refused(snapshot, "snapshot: unknown op \"replay\"");
 }
 
 TEST(ServiceCheckpointGolden, DrainedSessionCheckpointsAndRestores) {

@@ -159,18 +159,6 @@ TEST(ServiceEngine, DrainedSessionRejectsFurtherMutation) {
   EXPECT_THROW(engine.drain(), std::logic_error);
 }
 
-TEST(ServiceEngine, ReplayIsBatchOnlyAndFirst) {
-  rsvc::ServiceEngine engine(fcfs_config());
-  const rsvc::DrainResult via_replay =
-      engine.replay({make_job(1, 0.0, 60.0), make_job(2, 0.0, 30.0)});
-  EXPECT_EQ(via_replay.schedule.completed.size(), 2u);
-
-  // replay must be the first operation of the session.
-  rsvc::ServiceEngine dirty(fcfs_config());
-  dirty.submit(make_job(0, 0.0, 60.0));
-  EXPECT_THROW(dirty.replay({make_job(9, 0.0, 60.0)}), std::logic_error);
-}
-
 TEST(ServiceEngine, StreamModeFeedsJobsAsTheClockMoves) {
   rsvc::ServiceConfig config = fcfs_config(11);
   config.stream = rw::make_stream_spec("bursty_idle", 20, 2, 1.0);

@@ -94,26 +94,6 @@ TEST(ServiceEquivalenceGolden, OptimizationPortfolio) { check_method("opt:portfo
 
 TEST(ServiceEquivalenceGolden, AgentFastLocal) { check_method("agent:fastlocal"); }
 
-TEST(ServiceEquivalenceGolden, ReplayMatchesPerJobSubmission) {
-  // The batch-client entry point (replay) and the per-job online path land
-  // on the same schedule for a same-time workload: replay validates and
-  // loads wholesale, submission buffers and flushes - one engine underneath.
-  const std::vector<rs::Job> jobs = workload(24);
-
-  rsvc::ServiceConfig config;
-  config.method = rh::MethodSpec::parse("easy");
-  config.seed = kSeed;
-
-  rsvc::ServiceEngine via_replay(config);
-  const rsvc::DrainResult a = via_replay.replay(jobs);
-
-  rsvc::ServiceEngine via_submit(config);
-  for (const rs::Job& job : jobs) via_submit.submit(job);
-  const rsvc::DrainResult b = via_submit.drain();
-
-  expect_identical(a.schedule, b.schedule, via_replay.effective_cluster());
-}
-
 TEST(ServiceEquivalenceGolden, IncrementalAdvanceMatchesOneShotDrain) {
   // Walking the clock forward in many small advances must not change a
   // single scheduling decision relative to draining in one go: the

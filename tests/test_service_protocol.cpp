@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/service_engine.hpp"
@@ -14,6 +15,18 @@ namespace ru = reasched::util;
 namespace {
 
 rsvc::Request parse(const std::string& line) { return rsvc::parse_request(line); }
+
+// Expects `line` to be refused with a ProtocolError whose message names
+// `field`.
+void expect_refused(const std::string& line, const std::string& field) {
+  try {
+    parse(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const rsvc::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"" + field + "\""), std::string::npos)
+        << e.what();
+  }
+}
 
 }  // namespace
 
@@ -59,6 +72,34 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse(R"({"op":"cancel"})"), rsvc::ProtocolError);          // no id
   EXPECT_THROW(parse(R"({"op":"advance"})"), rsvc::ProtocolError);         // no to
   EXPECT_THROW(parse(R"({"op":"checkpoint"})"), rsvc::ProtocolError);      // no path
+}
+
+TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndOutOfRangeValues) {
+  // Out of int range: casting these doubles to int is undefined behaviour.
+  expect_refused(R"({"op":"cancel","id":1e300})", "id");
+  expect_refused(R"({"op":"cancel","id":-1e300})", "id");
+  expect_refused(R"({"op":"query","id":2147483648})", "id");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1e300}})", "nodes");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":4,"id":1e300}})", "id");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":4,"user":1e300}})", "user");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":4,"group":-1e300}})",
+                 "group");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":4,"dependencies":[1e300]}})",
+                 "dependencies[0]");
+  // Fractions are refused, not truncated - dependencies included.
+  expect_refused(R"({"op":"cancel","id":2.5})", "id");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":2.5}})", "nodes");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":4,"dependencies":[1,2.5]}})",
+                 "dependencies[1]");
+
+  // In-range integers parse exactly, negative ones included; whether a
+  // value makes sense is the engine's call, not the codec's.
+  EXPECT_EQ(parse(R"({"op":"cancel","id":-1})").id, -1);
+  EXPECT_EQ(parse(R"({"op":"cancel","id":2147483647})").id, 2147483647);
+  EXPECT_EQ(parse(R"({"op":"submit","job":{"duration":60,"nodes":-1}})").job.nodes, -1);
+  EXPECT_EQ(parse(R"({"op":"submit","job":{"duration":60,"nodes":4,"dependencies":[2.0]}})")
+                .job.dependencies,
+            std::vector<rs::JobId>{2});
 }
 
 TEST(ServiceProtocol, JobCodecRoundTripsEveryField) {

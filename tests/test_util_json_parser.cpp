@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -76,6 +78,18 @@ TEST(JsonParser, FallbackAccessors) {
   EXPECT_EQ(doc.string_or("weird", "d"), "d");  // wrong type -> fallback
   EXPECT_DOUBLE_EQ(doc.number_or("n", 0), 5.0);
   EXPECT_DOUBLE_EQ(doc.number_or("name", 7), 7.0);
+}
+
+TEST(JsonParser, ExactIntRejectsFractionsAndOutOfRange) {
+  EXPECT_EQ(ru::parse_json("-7").exact_int(), -7);
+  EXPECT_EQ(ru::parse_json("2147483647").exact_int(), 2147483647);
+  EXPECT_EQ(ru::parse_json("-2147483648").exact_int(), std::numeric_limits<int>::min());
+  EXPECT_FALSE(ru::parse_json("2147483648").exact_int().has_value());
+  EXPECT_FALSE(ru::parse_json("-2147483649").exact_int().has_value());
+  EXPECT_FALSE(ru::parse_json("1e300").exact_int().has_value());
+  EXPECT_FALSE(ru::parse_json("-1e300").exact_int().has_value());
+  EXPECT_FALSE(ru::parse_json("2.5").exact_int().has_value());
+  EXPECT_FALSE(ru::parse_json("\"3\"").exact_int().has_value());
 }
 
 // Round-trip property: anything the JsonWriter emits, the parser reads back.

@@ -346,7 +346,9 @@ TEST(GenerateScenario, MixSplitsByWeightAndInterleavesArrivals) {
   // Ids renumbered 1..n in arrival order.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].id, static_cast<rs::JobId>(i + 1));
-    if (i > 0) EXPECT_GE(jobs[i].submit_time, jobs[i - 1].submit_time);
+    if (i > 0) {
+      EXPECT_GE(jobs[i].submit_time, jobs[i - 1].submit_time);
+    }
   }
   // Roughly 10 long-job-dominant jobs: count the scenario's signature
   // extremely-long jobs' component (50000s runtimes exist only there).
