@@ -455,7 +455,7 @@ void estimate_noise_table(Report& r) {
                          "Backfills"});
   util::CsvTable csv({"factor", "method", "avg_wait", "makespan", "node_util", "backfills"});
   for (const auto& group : groups_of(r.points)) {
-    const double factor = workload::StageParamReader(group.front().scenario.base)
+    const double factor = util::SpecParamReader(group.front().scenario.base)
                               .get_range("walltime_noise", 1.0, 1.0, 1.0)
                               .second;
     for (const auto& p : group) {

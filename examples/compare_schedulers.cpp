@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "harness/method_spec.hpp"
@@ -100,13 +101,24 @@ int main(int argc, char** argv) {
     std::printf("%s", workload::ScenarioRegistry::instance().describe().c_str());
     return 0;
   }
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 60));
+  // A malformed number is an error, never a silent default.
+  std::size_t n_jobs = 0;
+  long long seed_arg = 0;
+  long long threads_arg = 0;
+  try {
+    n_jobs = static_cast<std::size_t>(args.get_int("jobs", 60));
+    seed_arg = args.get_int("seed", 42);
+    threads_arg = args.get_int("threads", 0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   harness::SweepConfig config;
   workload::ScenarioSpec scenario;
   try {
     scenario = parse_scenario_arg(args.get("scenario", "hetero_mix"));
-  } catch (const workload::ScenarioSpecError& e) {
+  } catch (const util::SpecError& e) {
     std::fprintf(stderr, "error: %s\n(--list-scenarios prints the registry)\n", e.what());
     return 1;
   }
@@ -122,7 +134,7 @@ int main(int argc, char** argv) {
         // Fail fast on unknown names/parameters, before any cell runs.
         harness::make_scheduler(config.methods.back(), /*seed=*/1);
       }
-    } catch (const harness::MethodSpecError& e) {
+    } catch (const util::SpecError& e) {
       std::fprintf(stderr, "error: %s\n(--list-methods prints the registry)\n", e.what());
       return 1;
     }
@@ -133,13 +145,12 @@ int main(int argc, char** argv) {
   }
   // The sweep's duplicate-spec dedup, applied up front so the printed table
   // has one column per method, matching the one cell the grid actually ran.
-  config.methods = harness::dedup_methods(config.methods);
+  config.methods = util::dedup(config.methods);
   config.repetitions = 1;
   config.arrival_mode = args.has("static") ? workload::ArrivalMode::kStatic
                                            : workload::ArrivalMode::kPoisson;
-  config.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  config.base_seed = static_cast<std::uint64_t>(seed_arg);
   // Non-positive values (including a stray negative) mean "use all cores".
-  const long long threads_arg = args.get_int("threads", 0);
   config.threads = threads_arg > 0 ? static_cast<std::size_t>(threads_arg) : 0;
 
   // Generate once up front, so ill-typed parameter *values* (validate()
@@ -148,7 +159,7 @@ int main(int argc, char** argv) {
   std::vector<sim::Job> jobs;
   try {
     jobs = harness::cell_jobs(config, scenario, n_jobs, 0);
-  } catch (const workload::ScenarioSpecError& e) {
+  } catch (const util::SpecError& e) {
     std::fprintf(stderr, "error: %s\n(--list-scenarios prints the registry)\n", e.what());
     return 1;
   } catch (const std::runtime_error& e) {  // e.g. an unreadable swf/trace path

@@ -34,7 +34,7 @@ AgentConfig agent_config_from(const harness::MethodSpec& spec) {
   return config;
 }
 
-std::vector<harness::ParamInfo> agent_params() {
+std::vector<util::SpecParamInfo> agent_params() {
   const AgentConfig defaults;
   return {{"window", "window", harness::window_to_string(sim::PlanningWindow{}),
            "Planning window K|order:K|auto (orders: arrival, sjf); 0 = unbounded paper "

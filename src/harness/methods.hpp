@@ -22,7 +22,7 @@ bool is_llm_method(const MethodSpec& spec);
 
 /// Instantiate a fresh scheduler for one run via the registry. `seed` feeds
 /// every stochastic component (SA restarts, decision noise, latency
-/// sampling). Throws MethodSpecError for unknown names or bad parameters.
+/// sampling). Throws util::SpecError for unknown names or bad parameters.
 std::unique_ptr<sim::Scheduler> make_scheduler(const MethodSpec& spec, std::uint64_t seed);
 
 }  // namespace reasched::harness

@@ -73,9 +73,8 @@ void sweep_cells(const SweepConfig& config, Consume&& consume) {
   // Dedup both spec axes by value: the same spec listed twice (e.g. a
   // literal and a parsed copy assembled from different sources) is one
   // axis value, not two identical cells fighting over one result key.
-  const std::vector<MethodSpec> methods = dedup_methods(config.methods);
-  const std::vector<workload::ScenarioSpec> scenarios =
-      workload::dedup_scenarios(config.scenarios);
+  const std::vector<MethodSpec> methods = util::dedup(config.methods);
+  const std::vector<workload::ScenarioSpec> scenarios = util::dedup(config.scenarios);
 
   std::map<WorkloadKey, std::size_t> workload_index;
   std::vector<WorkloadKey> workload_keys;

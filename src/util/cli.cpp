@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "util/string_utils.hpp"
 
 namespace reasched::util {
@@ -48,13 +51,20 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 long long CliArgs::get_int(const std::string& name, long long fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  return parse_int(it->second).value_or(fallback);
+  const auto v = parse_int(it->second);
+  if (!v) throw std::invalid_argument("--" + name + " expects an integer, got '" + it->second + "'");
+  return *v;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  return parse_double(it->second).value_or(fallback);
+  const auto v = parse_double(it->second);
+  if (!v || !std::isfinite(*v)) {
+    throw std::invalid_argument("--" + name + " expects a finite number, got '" + it->second +
+                                "'");
+  }
+  return *v;
 }
 
 }  // namespace reasched::util

@@ -17,6 +17,9 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Numeric getters: `fallback` when the flag is absent; a value that does
+  /// not parse (or, for get_double, is not finite) throws
+  /// std::invalid_argument naming the flag and the value.
   long long get_int(const std::string& name, long long fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

@@ -1,5 +1,8 @@
 #include "util/spec_grammar.hpp"
 
+#include <cmath>
+#include <optional>
+
 #include "util/string_utils.hpp"
 
 namespace reasched::util {
@@ -22,8 +25,6 @@ int hex_digit(char c) {
   return -1;
 }
 
-}  // namespace
-
 bool valid_spec_name_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == ':' || c == '_' || c == '.' ||
          c == '-';
@@ -33,6 +34,7 @@ bool valid_spec_key_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
 }
 
+/// Decode `%XX` escapes; `context` names the offending spec in errors.
 std::string percent_decode(std::string_view s, std::string_view context) {
   std::string out;
   out.reserve(s.size());
@@ -44,8 +46,8 @@ std::string percent_decode(std::string_view s, std::string_view context) {
     const int hi = i + 1 < s.size() ? hex_digit(s[i + 1]) : -1;
     const int lo = i + 2 < s.size() ? hex_digit(s[i + 2]) : -1;
     if (hi < 0 || lo < 0) {
-      throw SpecGrammarError("invalid percent-escape in '" + std::string(context) +
-                             "' (expected %XX with two hex digits)");
+      throw SpecError("invalid percent-escape in '" + std::string(context) +
+                      "' (expected %XX with two hex digits)");
     }
     out += static_cast<char>(hi * 16 + lo);
     i += 2;
@@ -53,6 +55,8 @@ std::string percent_decode(std::string_view s, std::string_view context) {
   return out;
 }
 
+/// Encode the grammar's reserved characters (see spec_grammar.hpp) so a
+/// value containing them survives the stage/pipeline/mix separators.
 std::string percent_encode_value(std::string_view s) {
   static const char* hex = "0123456789abcdef";
   std::string out;
@@ -69,53 +73,53 @@ std::string percent_encode_value(std::string_view s) {
   return out;
 }
 
-ParsedStage parse_spec_stage(std::string_view s_in, std::string_view kind) {
+}  // namespace
+
+SpecStage parse_spec_stage(std::string_view s_in, std::string_view kind) {
   const std::string s = trim(s_in);
   const std::string k(kind);
-  if (s.empty()) throw SpecGrammarError(k + " spec is empty");
+  if (s.empty()) throw SpecError(k + " spec is empty");
 
-  ParsedStage out;
+  SpecStage out;
   const auto q = s.find('?');
   out.name = s.substr(0, q);
   if (out.name.empty()) {
-    throw SpecGrammarError(k + " spec '" + s + "' has no name before '?'");
+    throw SpecError(k + " spec '" + s + "' has no name before '?'");
   }
   for (const char c : out.name) {
     if (!valid_spec_name_char(c)) {
-      throw SpecGrammarError(k + " name '" + out.name + "' contains invalid character '" +
-                             std::string(1, c) + "' (allowed: a-z 0-9 : _ . -)");
+      throw SpecError(k + " name '" + out.name + "' contains invalid character '" +
+                      std::string(1, c) + "' (allowed: a-z 0-9 : _ . -)");
     }
   }
   if (q == std::string::npos) return out;
 
   const std::string param_str = s.substr(q + 1);
   if (param_str.empty()) {
-    throw SpecGrammarError(k + " spec '" + s + "' has '?' but no parameters");
+    throw SpecError(k + " spec '" + s + "' has '?' but no parameters");
   }
   for (const std::string& kv : split(param_str, '&')) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 == kv.size()) {
-      throw SpecGrammarError("parameter '" + kv + "' in spec '" + s +
-                             "' is not of the form key=value");
+      throw SpecError("parameter '" + kv + "' in spec '" + s + "' is not of the form key=value");
     }
     const std::string key = kv.substr(0, eq);
     for (const char c : key) {
       if (!valid_spec_key_char(c)) {
-        throw SpecGrammarError("parameter key '" + key + "' in spec '" + s +
-                               "' contains invalid character '" + std::string(1, c) +
-                               "' (allowed: a-z 0-9 _)");
+        throw SpecError("parameter key '" + key + "' in spec '" + s +
+                        "' contains invalid character '" + std::string(1, c) +
+                        "' (allowed: a-z 0-9 _)");
       }
     }
     const std::string value = percent_decode(kv.substr(eq + 1), s);
     if (!out.params.emplace(key, value).second) {
-      throw SpecGrammarError("duplicate parameter '" + key + "' in spec '" + s + "'");
+      throw SpecError("duplicate parameter '" + key + "' in spec '" + s + "'");
     }
   }
   return out;
 }
 
-std::string spec_stage_to_string(const std::string& name,
-                                 const std::map<std::string, std::string>& params) {
+std::string SpecStage::to_string() const {
   if (params.empty()) return name;
   std::string out = name;
   char sep = '?';
@@ -127,6 +131,11 @@ std::string spec_stage_to_string(const std::string& name,
     sep = '&';
   }
   return out;
+}
+
+const std::string* SpecStage::find_param(const std::string& key) const {
+  const auto it = params.find(key);
+  return it == params.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> split_outside_parens(std::string_view s, char delim) {
@@ -145,6 +154,100 @@ std::vector<std::string> split_outside_parens(std::string_view s, char delim) {
   }
   out.push_back(current);
   return out;
+}
+
+void SpecParamReader::fail(const std::string& key, const std::string& problem) const {
+  const std::string* v = stage_->find_param(key);
+  throw SpecError(std::string(kind_) + " '" + stage_->name + "': parameter '" + key + "' " +
+                  problem + ", got '" + (v ? *v : "") + "'");
+}
+
+long long SpecParamReader::get_int(const std::string& key, long long fallback,
+                                   long long min_value, long long max_value) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr) return fallback;
+  const auto parsed = parse_int(*v);
+  if (!parsed) fail(key, "expects an integer");
+  if (*parsed < min_value || *parsed > max_value) {
+    fail(key, "must be in [" + std::to_string(min_value) + ", " + std::to_string(max_value) + "]");
+  }
+  return *parsed;
+}
+
+double SpecParamReader::get_double(const std::string& key, double fallback, double min_value,
+                                   double max_value) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr) return fallback;
+  const auto parsed = parse_double(*v);
+  // NaN compares false against both bounds, so finiteness is checked first.
+  if (!parsed || !std::isfinite(*parsed) || *parsed < min_value || *parsed > max_value) {
+    fail(key, format("expects a number in [%g, %g]", min_value, max_value));
+  }
+  return *parsed;
+}
+
+bool SpecParamReader::get_bool(const std::string& key, bool fallback) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr) return fallback;
+  const std::string lower = to_lower(*v);
+  if (lower == "true" || lower == "1" || lower == "on") return true;
+  if (lower == "false" || lower == "0" || lower == "off") return false;
+  fail(key, "expects a boolean (true/false/1/0/on/off)");
+}
+
+std::string SpecParamReader::get_string(const std::string& key, const std::string& fallback) const {
+  const std::string* v = stage_->find_param(key);
+  return v == nullptr ? fallback : *v;
+}
+
+std::string SpecParamReader::require_string(const std::string& key) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr || v->empty()) {
+    throw SpecError(std::string(kind_) + " '" + stage_->name + "': required parameter '" + key +
+                    "' is missing");
+  }
+  return *v;
+}
+
+std::pair<double, double> SpecParamReader::get_range(const std::string& key, double fallback_min,
+                                                     double fallback_max, double min_value) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr) return {fallback_min, fallback_max};
+  const auto parts = split(*v, ':');
+  std::optional<double> lo, hi;
+  if (parts.size() == 1) {
+    lo = hi = parse_double(parts[0]);
+  } else if (parts.size() == 2) {
+    lo = parse_double(parts[0]);
+    hi = parse_double(parts[1]);
+  }
+  if (!lo || !hi || !std::isfinite(*lo) || !std::isfinite(*hi) || *lo < min_value ||
+      *hi < *lo) {
+    fail(key, format("expects MIN:MAX with %g <= MIN <= MAX", min_value));
+  }
+  return {*lo, *hi};
+}
+
+double SpecParamReader::get_duration(const std::string& key, double fallback) const {
+  const std::string* v = stage_->find_param(key);
+  if (v == nullptr) return fallback;
+  std::string num = *v;
+  double scale = 1.0;
+  if (!num.empty()) {
+    switch (num.back()) {
+      case 's': scale = 1.0; num.pop_back(); break;
+      case 'm': scale = 60.0; num.pop_back(); break;
+      case 'h': scale = 3600.0; num.pop_back(); break;
+      case 'd': scale = 86400.0; num.pop_back(); break;
+      default: break;
+    }
+  }
+  const auto parsed = parse_double(num);
+  // The unit scale can overflow a finite count (`1e308d`), so the product is checked.
+  if (!parsed || *parsed < 0.0 || !std::isfinite(*parsed * scale)) {
+    fail(key, "expects a duration (seconds, or with s/m/h/d suffix)");
+  }
+  return *parsed * scale;
 }
 
 }  // namespace reasched::util

@@ -249,10 +249,10 @@ std::vector<sim::Job> generate_paper_jobs(const PaperScenario& scenario, std::si
 /// (walltime_noise maps onto GenerateOptions' paired noise stream,
 /// rate_scale rescales submit times after generation).
 std::vector<sim::Job> generate_paper_scenario(const PaperScenario& scenario,
-                                              const ScenarioStage& stage, std::size_t n,
+                                              const util::SpecStage& stage, std::size_t n,
                                               std::uint64_t seed,
                                               const GenerateOptions& options_in) {
-  const StageParamReader params(stage);
+  const util::SpecParamReader params(stage);
   GenerateOptions options = options_in;
   const auto [noise_min, noise_max] =
       params.get_range("walltime_noise", options.walltime_factor_min,
@@ -306,7 +306,7 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
          .display_label = scenario.label,
          .doc = scenario.doc,
          .params = generator_params(),
-         .generate = [&scenario](const ScenarioStage& stage, std::size_t n, std::uint64_t seed,
+         .generate = [&scenario](const util::SpecStage& stage, std::size_t n, std::uint64_t seed,
                                  const GenerateOptions& options) {
            return generate_paper_scenario(scenario, stage, n, seed, options);
          }});
@@ -328,9 +328,9 @@ void register_trace_scenarios(ScenarioRegistry& registry) {
                    "Memory per node when the trace reports none."},
                   {"horizon", "time", "0",
                    "Keep only jobs submitted before this offset (30d, 12h, 3600); 0 = all."}},
-       .generate = [](const ScenarioStage& stage, std::size_t n, std::uint64_t /*seed*/,
+       .generate = [](const util::SpecStage& stage, std::size_t n, std::uint64_t /*seed*/,
                       const GenerateOptions& options) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          SwfOptions swf_options;
          swf_options.completed_only = params.get_bool("completed_only", true);
          swf_options.default_memory_gb_per_node =
@@ -356,9 +356,9 @@ void register_trace_scenarios(ScenarioRegistry& registry) {
        .params = {{"path", "string", "(required)", "Jobs CSV to load."},
                   {"max_jobs", "int", "0",
                    "Cap on replayed jobs; 0 defers to the grid's n_jobs axis."}},
-       .generate = [](const ScenarioStage& stage, std::size_t n, std::uint64_t /*seed*/,
+       .generate = [](const util::SpecStage& stage, std::size_t n, std::uint64_t /*seed*/,
                       const GenerateOptions& options) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          auto jobs = load_jobs(params.require_string("path"));
          // total-order: arrival_order breaks submit-time ties by unique JobId.
          std::sort(jobs.begin(), jobs.end(), sim::arrival_order);
@@ -374,9 +374,9 @@ void register_trace_scenarios(ScenarioRegistry& registry) {
        .doc = "Polaris-like raw trace substitute + the paper's Section 5 preprocessing.",
        .params = {{"interarrival", "double", "180",
                    "Busy-period mean interarrival of the raw submission process, seconds."}},
-       .generate = [](const ScenarioStage& stage, std::size_t n, std::uint64_t seed,
+       .generate = [](const util::SpecStage& stage, std::size_t n, std::uint64_t seed,
                       const GenerateOptions& options) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          PolarisTraceConfig config;
          config.mean_interarrival_s = params.get_double("interarrival", 180.0, 1e-3, 1e9);
          config.n_jobs = n + n / 2 + 20;  // post-filter count reaches n
@@ -393,9 +393,9 @@ void register_transforms(ScenarioRegistry& registry) {
        .doc = "Re-draw walltime estimates: walltime = runtime x U(MIN:MAX).",
        .params = {{"walltime_noise", "range", "1:1",
                    "Estimate over-request factor range; 1:1 resets estimates to exact."}},
-       .apply = [](std::vector<sim::Job>& jobs, const ScenarioStage& stage, util::Rng& rng,
+       .apply = [](std::vector<sim::Job>& jobs, const util::SpecStage& stage, util::Rng& rng,
                    GenerateOptions&) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          const auto [lo, hi] = params.get_range("walltime_noise", 1.0, 1.0, 1.0);
          for (auto& job : jobs) {
            job.walltime = job.duration * (hi > lo ? rng.uniform_real(lo, hi) : lo);
@@ -408,9 +408,9 @@ void register_transforms(ScenarioRegistry& registry) {
        .params = {{"load", "double", "1",
                    "Load multiplier (>1 compresses arrivals, raising contention)."},
                   {"shift", "time", "0", "Constant added to every submit time (30m, 3600)."}},
-       .apply = [](std::vector<sim::Job>& jobs, const ScenarioStage& stage, util::Rng&,
+       .apply = [](std::vector<sim::Job>& jobs, const util::SpecStage& stage, util::Rng&,
                    GenerateOptions&) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          const double load = params.get_double("load", 1.0, 1e-6, 1e6);
          const double shift = params.get_duration("shift", 0.0);
          for (auto& job : jobs) job.submit_time = job.submit_time / load + shift;
@@ -423,9 +423,9 @@ void register_transforms(ScenarioRegistry& registry) {
                   {"fanout", "int", "2", "Max dependencies drawn from the previous layer."},
                   {"prob", "double", "1",
                    "Probability a non-first-layer job gets dependencies at all."}},
-       .apply = [](std::vector<sim::Job>& jobs, const ScenarioStage& stage, util::Rng& rng,
+       .apply = [](std::vector<sim::Job>& jobs, const util::SpecStage& stage, util::Rng& rng,
                    GenerateOptions&) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          const auto depth = static_cast<std::size_t>(params.get_int("depth", 2, 2, 1 << 20));
          const auto fanout = static_cast<std::size_t>(params.get_int("fanout", 2, 1, 1 << 20));
          const double prob = params.get_double("prob", 1.0, 0.0, 1.0);
@@ -458,9 +458,9 @@ void register_transforms(ScenarioRegistry& registry) {
        .doc = "Keep the submit-time window [offset, offset+horizon), renumber ids.",
        .params = {{"horizon", "time", "0", "Window length (30d, 12h, 3600); 0 = unbounded."},
                   {"offset", "time", "0", "Window start; submit times shift down by this."}},
-       .apply = [](std::vector<sim::Job>& jobs, const ScenarioStage& stage, util::Rng&,
+       .apply = [](std::vector<sim::Job>& jobs, const util::SpecStage& stage, util::Rng&,
                    GenerateOptions&) {
-         const StageParamReader params(stage);
+         const util::SpecParamReader params(stage);
          const double horizon = params.get_duration("horizon", 0.0);
          const double offset = params.get_duration("offset", 0.0);
          jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
@@ -479,7 +479,7 @@ void register_transforms(ScenarioRegistry& registry) {
        .doc = "Override the cell's cluster capacity (applies to engine + generation).",
        .params = {{"nodes", "int", "0", "Total nodes; 0 keeps the configured value."},
                   {"memory_gb", "double", "0", "Total memory; 0 keeps the configured value."}},
-       .apply = [](std::vector<sim::Job>& jobs, const ScenarioStage&, util::Rng&,
+       .apply = [](std::vector<sim::Job>& jobs, const util::SpecStage&, util::Rng&,
                    GenerateOptions& options) {
          // The capacity override itself is hoisted ahead of generation
          // (effective_cluster); at pipeline position the stage only

@@ -1,11 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,7 +11,7 @@
 #include "sim/cluster.hpp"
 #include "sim/job.hpp"
 #include "util/rng.hpp"
-#include "util/spec_grammar.hpp"
+#include "util/spec_registry.hpp"
 
 namespace reasched::workload {
 
@@ -37,22 +34,21 @@ struct GenerateOptions {
   double walltime_factor_max = 1.0;
 };
 
+struct MixComponent;
+
 /// The scenario axis as data - the mirror image of `harness::MethodSpec`.
 /// A spec is a base workload source followed by an optional pipeline of
 /// composable transforms, round-trippable through a compact string:
 ///
 ///   spec      := base ( '|' transform )*
 ///   base      := stage | 'mix(' spec ':' weight ( ',' spec ':' weight )* ')'
-///   transform := stage
-///   stage     := name [ '?' key '=' value ( '&' key '=' value )* ]
+///   transform := stage            (stage grammar: util/spec_grammar.hpp)
 ///
 /// e.g. `bursty_idle`, `hetero_mix?walltime_noise=1.0:3.0&rate_scale=2.0`,
 /// `swf?path=trace.swf&horizon=30d`, `mix(long_job:0.2,resource_sparse:0.8)`,
 /// `adversarial|perturb?walltime_noise=1.5:3.0|dag?fanout=4&depth=3`.
-/// Reserved characters inside values (`& = ? | ( ) ,` whitespace `%`)
-/// travel percent-encoded; the value grammar is shared with MethodSpec
-/// (util/spec_grammar). Inside `mix(...)` a `:` in a parameter value must
-/// additionally be encoded (`walltime_noise=1.0%3a3.0:0.7`) - a raw one is
+/// Inside `mix(...)` a `:` in a parameter value must additionally be
+/// percent-encoded (`walltime_noise=1.0%3a3.0:0.7`) - a raw one is
 /// rejected as ambiguous with the weight separator, and the canonical
 /// serializer always writes the encoded form. (A component whose *final*
 /// raw-colon value doubles as a plausible weight - `a?load=2:3` - parses
@@ -60,46 +56,18 @@ struct GenerateOptions {
 /// validated when the registry generates the workload, not at parse time.
 /// Ordering and equality are value semantics, so a ScenarioSpec is a
 /// grid-axis key.
-
-/// Thrown for every user-input error in the scenario-spec layer: grammar
-/// violations, unknown scenario/transform names, unknown or ill-typed
-/// parameters, and transform outputs that break the cluster-fit guarantee.
-class ScenarioSpecError : public std::invalid_argument {
- public:
-  using std::invalid_argument::invalid_argument;
-};
-
-/// One pipeline stage: a base workload source or a transform operator.
-struct ScenarioStage {
-  std::string name;
-  std::map<std::string, std::string> params;
-
-  std::string to_string() const { return util::spec_stage_to_string(name, params); }
-  const std::string* find_param(const std::string& key) const;
-
-  friend bool operator==(const ScenarioStage& a, const ScenarioStage& b) {
-    return a.name == b.name && a.params == b.params;
-  }
-  friend bool operator<(const ScenarioStage& a, const ScenarioStage& b) {
-    if (a.name != b.name) return a.name < b.name;
-    return a.params < b.params;
-  }
-};
-
-struct MixComponent;
-
 struct ScenarioSpec {
   /// Base workload source. `base.name == "mix"` means the base is the
   /// weighted combination in `components` instead of a registered generator.
-  ScenarioStage base;
+  util::SpecStage base;
   std::vector<MixComponent> components;
   /// Transform stages applied left to right after the base.
-  std::vector<ScenarioStage> pipeline;
+  std::vector<util::SpecStage> pipeline;
 
   ScenarioSpec() = default;
   /// Parsing constructors so spec literals drop in wherever a scenario is
   /// expected (`config.scenarios = {"bursty_idle", "mix(long_job:0.2,...)"}`).
-  /// Throw ScenarioSpecError on grammar violations.
+  /// Throw util::SpecError on grammar violations.
   ScenarioSpec(const std::string& spec);  // NOLINT(google-explicit-constructor)
   ScenarioSpec(const char* spec);         // NOLINT(google-explicit-constructor)
 
@@ -112,7 +80,6 @@ struct ScenarioSpec {
   bool is_mix() const { return base.name == "mix"; }
 
   friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b);
-  friend bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) { return !(a == b); }
   friend bool operator<(const ScenarioSpec& a, const ScenarioSpec& b);
 };
 
@@ -125,35 +92,6 @@ struct MixComponent {
   double weight = 1.0;
 };
 
-/// Typed access to a stage's parameter bag, used by registered builders and
-/// transforms. Every getter throws ScenarioSpecError naming the stage, the
-/// key and the offending value when a present parameter fails to parse;
-/// absent keys yield the fallback.
-class StageParamReader {
- public:
-  explicit StageParamReader(const ScenarioStage& stage) : stage_(&stage) {}
-
-  long long get_int(const std::string& key, long long fallback, long long min_value = 0,
-                    long long max_value = std::numeric_limits<long long>::max()) const;
-  double get_double(const std::string& key, double fallback, double min_value,
-                    double max_value) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-  std::string get_string(const std::string& key, const std::string& fallback) const;
-  /// Required-string form: throws when the key is absent.
-  std::string require_string(const std::string& key) const;
-  /// `MIN:MAX` range of doubles (e.g. `walltime_noise=1.0:3.0`); a single
-  /// value V is accepted as V:V. Requires min_value <= MIN <= MAX.
-  std::pair<double, double> get_range(const std::string& key, double fallback_min,
-                                      double fallback_max, double min_value) const;
-  /// Duration in seconds with optional unit suffix: `90`, `30m`, `12h`,
-  /// `30d` (s/m/h/d). Returns `fallback` when absent.
-  double get_duration(const std::string& key, double fallback) const;
-
- private:
-  [[noreturn]] void fail(const std::string& key, const std::string& expected) const;
-  const ScenarioStage* stage_;
-};
-
 /// One registered base workload source: canonical name, display label
 /// (for the seven paper scenarios the pre-registry names, which key every
 /// derived seed), declared parameters and the generator turning (stage, n,
@@ -163,7 +101,7 @@ struct ScenarioInfo {
   std::string display_label;  ///< presentation label, e.g. "Heterogeneous Mix"
   std::string doc;            ///< one-line description for --list-scenarios
   std::vector<util::SpecParamInfo> params;
-  std::function<std::vector<sim::Job>(const ScenarioStage&, std::size_t n, std::uint64_t seed,
+  std::function<std::vector<sim::Job>(const util::SpecStage&, std::size_t n, std::uint64_t seed,
                                       const GenerateOptions&)>
       generate;
 };
@@ -179,7 +117,7 @@ struct TransformInfo {
   std::string name;
   std::string doc;
   std::vector<util::SpecParamInfo> params;
-  std::function<void(std::vector<sim::Job>&, const ScenarioStage&, util::Rng&,
+  std::function<void(std::vector<sim::Job>&, const util::SpecStage&, util::Rng&,
                      GenerateOptions&)>
       apply;
 };
@@ -187,26 +125,26 @@ struct TransformInfo {
 /// String-keyed registry of base scenarios and transform operators. The
 /// built-ins self-register on first use of `instance()`
 /// (workload::register_scenarios); extensions may `add()` more at startup.
-/// The registry freezes at the first lookup: reads are lock-free and the
-/// sweep layer reads from worker threads, so a late `add()` (after any
-/// find/at/names/validate/describe/generate) throws std::logic_error
-/// instead of racing the readers.
+/// Both tables sit behind one freeze-at-first-lookup flag
+/// (util::SpecFreeze): a late `add()` or `add_transform()` (after any
+/// find/at/names/validate/describe/generate) throws std::logic_error.
 class ScenarioRegistry {
  public:
   static ScenarioRegistry& instance();
 
   /// Register a base scenario / transform; throws std::logic_error on
-  /// duplicate or empty names, missing callbacks, or registration after the
-  /// registry froze.
+  /// duplicate, empty or reserved (`mix`) names, missing callbacks, or
+  /// registration once the registry is frozen.
   void add(ScenarioInfo info);
-  void add_transform(TransformInfo info);
+  void add_transform(TransformInfo info) { transforms_.add(std::move(info)); }
 
-  const ScenarioInfo* find(const std::string& name) const;
-  const ScenarioInfo& at(const std::string& name) const;
-  const TransformInfo* find_transform(const std::string& name) const;
-  const TransformInfo& at_transform(const std::string& name) const;
-  std::vector<std::string> names() const;
-  std::vector<std::string> transform_names() const;
+  const ScenarioInfo* find(const std::string& name) const { return scenarios_.find(name); }
+  const ScenarioInfo& at(const std::string& name) const { return scenarios_.at(name); }
+  const TransformInfo& at_transform(const std::string& name) const {
+    return transforms_.at(name);
+  }
+  std::vector<std::string> names() const { return scenarios_.names(); }
+  std::vector<std::string> transform_names() const { return transforms_.names(); }
 
   /// Validate names and declared parameter keys across the whole spec
   /// (base, mix components recursively, every pipeline stage) without
@@ -217,15 +155,14 @@ class ScenarioRegistry {
   /// defaults (`compare_schedulers --list-scenarios`).
   std::string describe() const;
 
-  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
+  bool frozen() const { return freeze_.frozen(); }
 
  private:
-  void freeze() const { frozen_.store(true, std::memory_order_release); }
-  void check_open(const std::string& what) const;
-
-  std::map<std::string, ScenarioInfo> scenarios_;
-  std::map<std::string, TransformInfo> transforms_;
-  mutable std::atomic<bool> frozen_{false};
+  util::SpecFreeze freeze_;
+  util::SpecTable<ScenarioInfo, &ScenarioInfo::generate> scenarios_{freeze_, "ScenarioRegistry",
+                                                                    "scenario"};
+  util::SpecTable<TransformInfo, &TransformInfo::apply> transforms_{freeze_, "ScenarioRegistry",
+                                                                   "transform"};
 };
 
 /// Generate the workload a spec describes: resolve the base (recursively
@@ -252,10 +189,6 @@ sim::ClusterSpec effective_cluster(const ScenarioSpec& spec, sim::ClusterSpec ba
 /// label as the pre-registry names, which keeps `cell_jobs`/`cell_seed`
 /// derivations - and therefore all recorded results - bit-identical.
 std::string scenario_label(const ScenarioSpec& spec);
-
-/// Drop later duplicates (value equality), preserving first-seen order -
-/// the sweep's scenario-axis semantics, mirroring dedup_methods.
-std::vector<ScenarioSpec> dedup_scenarios(const std::vector<ScenarioSpec>& scenarios);
 
 /// The seven paper scenarios as their canonical specs, presentation order.
 const std::vector<ScenarioSpec>& paper_scenario_specs();

@@ -4,8 +4,8 @@
 // (harness::MethodSpec, workload::ScenarioSpec). Both parsers sit on
 // util/spec_grammar, so the edge cases - percent-encoding, duplicate keys,
 // invalid characters, round-trip canonicalization - are exercised through
-// one helper, parameterized over the axis's parse/serialize functions and
-// error type. Each axis's test file instantiates this against its own
+// one helper, parameterized over the axis's parse/serialize functions (both
+// throw util::SpecError). Each axis's test file instantiates this against its own
 // types; axis-specific grammar (pipelines, mix) stays in the axis's file.
 
 #include <gtest/gtest.h>
@@ -36,13 +36,13 @@ void expect_spec_error(Fn&& fn, const std::vector<std::string>& fragments) {
 
 /// One axis's grammar surface, type-erased for the shared cases below.
 struct SpecGrammarApi {
-  /// Parse a spec string; throws the axis's error type.
+  /// Parse a spec string; throws util::SpecError.
   std::function<void(const std::string&)> parse_ok;
   /// Parse and return the canonical to_string().
   std::function<std::string(const std::string&)> canonical;
   /// Parse and return the decoded value of `key` on the first stage.
   std::function<std::string(const std::string& spec, const std::string& key)> param_value;
-  /// Run parse, mapping the axis error into a caught-or-not bool.
+  /// Run parse, mapping util::SpecError into a caught-or-not bool.
   std::function<bool(const std::string&)> parse_fails;
 };
 

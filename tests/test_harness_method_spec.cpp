@@ -10,13 +10,14 @@
 namespace rh = reasched::harness;
 namespace rw = reasched::workload;
 namespace rs = reasched::sim;
+namespace ru = reasched::util;
 
 namespace {
 
 /// Message-content helper: the error must mention every given fragment.
 template <typename Fn>
 void expect_spec_error(Fn&& fn, const std::vector<std::string>& fragments) {
-  reasched::testing::expect_spec_error<rh::MethodSpecError>(std::forward<Fn>(fn), fragments);
+  reasched::testing::expect_spec_error<ru::SpecError>(std::forward<Fn>(fn), fragments);
 }
 
 }  // namespace
@@ -35,7 +36,7 @@ TEST(MethodSpec, SharedGrammarCases) {
     try {
       rh::MethodSpec::parse(s);
       return false;
-    } catch (const rh::MethodSpecError&) {
+    } catch (const ru::SpecError&) {
       return true;
     }
   };
@@ -90,7 +91,7 @@ TEST(MethodSpec, ImplicitStringConversionParses) {
   const rh::MethodSpec spec = "agent:claude37?window=arrival:32";
   EXPECT_EQ(spec.name, "agent:claude37");
   EXPECT_EQ(spec.params.at("window"), "arrival:32");
-  EXPECT_THROW(rh::MethodSpec{"not a spec"}, rh::MethodSpecError);
+  EXPECT_THROW(rh::MethodSpec{"not a spec"}, ru::SpecError);
 }
 
 TEST(MethodSpec, OrderingIsValueBased) {

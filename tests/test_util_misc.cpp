@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
@@ -106,10 +108,36 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.positional()[0], "positional");
 }
 
-TEST(Cli, BadIntFallsBack) {
-  const char* argv[] = {"prog", "--jobs=abc"};
+TEST(Cli, BadNumbersAreRejected) {
+  // A value that does not parse is an error naming the flag and the value,
+  // never a silent fallback to the default.
+  const auto expect_rejected = [](const char* arg, bool as_double, const std::string& flag,
+                                  const std::string& value) {
+    const char* argv[] = {"prog", arg};
+    const ru::CliArgs args(2, argv);
+    try {
+      if (as_double) {
+        (void)args.get_double(flag, 1.0);
+      } else {
+        (void)args.get_int(flag, 7);
+      }
+      ADD_FAILURE() << arg << " should be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  };
+  expect_rejected("--jobs=abc", false, "jobs", "abc");
+  expect_rejected("--jobs=12x", false, "jobs", "12x");
+  expect_rejected("--rate=nan", true, "rate", "nan");
+
+  // Absent flags still yield the fallback.
+  const char* argv[] = {"prog", "--jobs=12"};
   const ru::CliArgs args(2, argv);
-  EXPECT_EQ(args.get_int("jobs", 7), 7);
+  EXPECT_EQ(args.get_int("jobs", 7), 12);
+  EXPECT_EQ(args.get_int("seed", 7), 7);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.5), 0.5);
 }
 
 TEST(TimeFormat, Durations) {

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "golden_digest_test_helper.hpp"
 #include "spec_grammar_test_helper.hpp"
@@ -13,13 +16,14 @@
 
 namespace rw = reasched::workload;
 namespace rs = reasched::sim;
+namespace ru = reasched::util;
 using reasched::testing::expect_spec_error;
 
 namespace {
 
 template <typename Fn>
 void expect_scenario_error(Fn&& fn, const std::vector<std::string>& fragments) {
-  expect_spec_error<rw::ScenarioSpecError>(std::forward<Fn>(fn), fragments);
+  expect_spec_error<ru::SpecError>(std::forward<Fn>(fn), fragments);
 }
 
 void expect_identical_jobs(const std::vector<rs::Job>& a, const std::vector<rs::Job>& b) {
@@ -82,7 +86,7 @@ TEST(ScenarioSpec, SharedGrammarCases) {
     try {
       rw::ScenarioSpec::parse(s);
       return false;
-    } catch (const rw::ScenarioSpecError&) {
+    } catch (const ru::SpecError&) {
       return true;
     }
   };
@@ -154,6 +158,8 @@ TEST(ScenarioSpec, GrammarErrors) {
                         {"positive numeric weight", "zero"});
   expect_scenario_error([] { rw::ScenarioSpec::parse("mix(long_job:-1)"); },
                         {"positive numeric weight"});
+  expect_scenario_error([] { rw::ScenarioSpec::parse("mix(long_job:inf)"); },
+                        {"positive numeric weight", "inf"});
   expect_scenario_error([] { rw::ScenarioSpec::parse("mix(long_job:1"); }, {"closing"});
   expect_scenario_error([] { rw::ScenarioSpec::parse("mix?a=1"); }, {"mix", "parenthesized"});
   // A raw ':' inside a component's parameter section is ambiguous with the
@@ -236,6 +242,21 @@ TEST(ScenarioRegistry, ListsBuiltinsAndRejectsUnknowns) {
   expect_scenario_error(
       [] { rw::generate_scenario(rw::ScenarioSpec("hetero_mix?walltime_noise=3.0:1.0"), 4, 1); },
       {"walltime_noise", "MIN:MAX"});
+  // Non-finite numbers are ill-typed values too: NaN passes every range
+  // comparison, so without a finiteness check it reached the engine as a
+  // malformed submit time (or, for crop, an unbounded window).
+  const std::pair<const char*, std::vector<std::string>> non_finite[] = {
+      {"hetero_mix?rate_scale=nan", {"hetero_mix", "rate_scale", "nan"}},
+      {"hetero_mix|stretch?load=nan", {"stretch", "load", "nan"}},
+      {"hetero_mix|stretch?shift=nan", {"stretch", "shift", "nan"}},
+      {"hetero_mix?walltime_noise=nan:nan", {"hetero_mix", "walltime_noise", "nan:nan"}},
+      {"hetero_mix|crop?horizon=inf", {"crop", "horizon", "inf"}},
+  };
+  for (const auto& [spec, fragments] : non_finite) {
+    SCOPED_TRACE(spec);
+    expect_scenario_error([spec = spec] { rw::generate_scenario(rw::ScenarioSpec(spec), 4, 1); },
+                          fragments);
+  }
 }
 
 TEST(ScenarioRegistry, FrozenAfterFirstLookup) {
@@ -244,12 +265,12 @@ TEST(ScenarioRegistry, FrozenAfterFirstLookup) {
   EXPECT_TRUE(registry.frozen());
   rw::ScenarioInfo late;
   late.name = "late_scenario";
-  late.generate = [](const rw::ScenarioStage&, std::size_t, std::uint64_t,
+  late.generate = [](const ru::SpecStage&, std::size_t, std::uint64_t,
                      const rw::GenerateOptions&) { return std::vector<rs::Job>{}; };
   EXPECT_THROW(registry.add(std::move(late)), std::logic_error);
   rw::TransformInfo late_transform;
   late_transform.name = "late_transform";
-  late_transform.apply = [](std::vector<rs::Job>&, const rw::ScenarioStage&, reasched::util::Rng&,
+  late_transform.apply = [](std::vector<rs::Job>&, const ru::SpecStage&, reasched::util::Rng&,
                             rw::GenerateOptions&) {};
   EXPECT_THROW(registry.add_transform(std::move(late_transform)), std::logic_error);
 }
@@ -469,7 +490,7 @@ TEST(ScenarioSpec, DedupPreservesFirstSeenOrder) {
   const std::vector<rw::ScenarioSpec> specs = {
       "hetero_mix", "hetero_mix", "bursty_idle",
       "hetero_mix?rate_scale=2", "bursty_idle"};
-  const auto unique = rw::dedup_scenarios(specs);
+  const auto unique = ru::dedup(specs);
   ASSERT_EQ(unique.size(), 3u);
   EXPECT_EQ(unique[0].to_string(), "hetero_mix");
   EXPECT_EQ(unique[1].to_string(), "bursty_idle");
