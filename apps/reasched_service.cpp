@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,7 +37,6 @@
 #include "service/session.hpp"
 #include "service/snapshot.hpp"
 #include "util/cli.hpp"
-#include "util/string_utils.hpp"
 
 namespace {
 
@@ -59,51 +57,30 @@ void print_usage() {
       "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n");
 }
 
-/// A count flag: an integer in [0, INT_MAX] (what a snapshot can restore),
-/// else std::invalid_argument. Negative values must not wrap to SIZE_MAX -
-/// `--batches -1` would otherwise be a finite stream that never ends.
-std::size_t count_flag(const reasched::util::CliArgs& args, const char* name,
-                       long long fallback) {
-  const long long n = args.get_int(name, fallback);
-  if (n < 0 || n > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument(reasched::util::format(
-        "--%s must be an integer in [0, %d] (got %lld)", name,
-        std::numeric_limits<int>::max(), n));
-  }
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const reasched::util::CliArgs& args) {
   using namespace reasched;
-  const util::CliArgs args(argc, argv);
   if (args.has("help")) {
     print_usage();
     return 0;
   }
 
   std::unique_ptr<service::ServiceEngine> engine;
-  try {
-    if (args.has("restore")) {
-      engine = service::load_snapshot(args.get("restore", ""));
-    } else {
-      service::ServiceConfig config;
-      config.method = harness::MethodSpec::parse(args.get("method", "fcfs"));
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-      config.engine.enforce_walltime = args.has("enforce-walltime");
-      const std::size_t batch_jobs = count_flag(args, "batch-jobs", 0);
-      const std::size_t batches = count_flag(args, "batches", 1);
-      if (batch_jobs > 0) {
-        config.stream = workload::make_stream_spec(args.get("scenario", "hetero_mix"),
-                                                   batch_jobs, batches,
-                                                   args.get_double("rate-scale", 1.0));
-      }
-      engine = std::make_unique<service::ServiceEngine>(config);
+  if (args.has("restore")) {
+    engine = service::load_snapshot(args.get("restore", ""));
+  } else {
+    service::ServiceConfig config;
+    config.method = harness::MethodSpec::parse(args.get("method", "fcfs"));
+    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.engine.enforce_walltime = args.has("enforce-walltime");
+    // Counts are in [0, INT_MAX] (what a snapshot can restore); a negative
+    // `--batches -1` must not wrap into a finite stream that never ends.
+    const std::size_t batch_jobs = args.get_size("batch-jobs", 0);
+    const std::size_t batches = args.get_size("batches", 1);
+    if (batch_jobs > 0) {
+      config.stream = workload::make_stream_spec(args.get("scenario", "hetero_mix"), batch_jobs,
+                                                 batches, args.get_double("rate-scale", 1.0));
     }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "reasched_service: %s\n", e.what());
-    return 1;
+    engine = std::make_unique<service::ServiceEngine>(config);
   }
 
   if (args.has("obs") || args.has("obs-trace-out")) obs::set_enabled(true);
@@ -119,19 +96,15 @@ int main(int argc, char** argv) {
   if (args.has("trace-out")) {
     const std::string path = args.get("trace-out", "");
     std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "reasched_service: cannot open %s\n", path.c_str());
-      return 1;
-    }
+    if (!f) throw std::runtime_error("cannot open " + path);
     f << service::render_decision_trace(engine->schedule_view());
   }
   if (args.has("obs-trace-out")) {
-    try {
-      obs::TraceRecorder::global().save_chrome_trace(args.get("obs-trace-out", ""));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "reasched_service: %s\n", e.what());
-      return 1;
-    }
+    obs::TraceRecorder::global().save_chrome_trace(args.get("obs-trace-out", ""));
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return reasched::util::run_main(argc, argv, run); }

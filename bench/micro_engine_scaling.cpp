@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,10 @@ using namespace reasched;
 namespace {
 
 std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
+  if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
   if (name == "sjf") return std::make_unique<sched::SjfScheduler>();
   if (name == "easy") return std::make_unique<sched::EasyBackfillScheduler>();
-  return std::make_unique<sched::FcfsScheduler>();
+  throw std::invalid_argument("--scheduler expects fcfs|sjf|easy, got '" + name + "'");
 }
 
 template <typename EngineT>
@@ -73,22 +75,15 @@ double time_run(EngineT& engine, const std::vector<sim::Job>& jobs, sim::Schedul
   return best_s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto sizes_arg = args.get("jobs", "1000,10000");
+int run(const util::CliArgs& args) {
+  const auto sizes = args.get_sizes("jobs", {1000, 10000});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 1));
+  const auto reps = args.get_size("reps", 1, 1);
   const std::string scheduler_name = args.get("scheduler", "fcfs");
+  make_scheduler(scheduler_name);  // an unknown name fails before any output
   const std::string json_path = args.get("json", "");
   const double max_overhead_pct = args.get_double("max-overhead-pct", 0.0);
   bench::BenchJson json;
-
-  std::vector<std::size_t> sizes;
-  for (const auto& tok : util::split(sizes_arg, ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
-  }
 
   sim::EngineConfig config;
   config.record_traces = false;  // isolate engine cost from trace strings
@@ -171,3 +166,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -158,22 +158,14 @@ double time_plan(const Solver& solver, const opt::ProblemView& view, std::uint64
   return best_s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto sizes_arg = args.get("jobs", "1000,10000");
+int run(const util::CliArgs& args) {
+  const auto sizes = args.get_sizes("jobs", {1000, 10000});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 3));
-  const auto window_k = static_cast<std::size_t>(args.get_int("window", 64));
-  const auto unbounded_max = static_cast<std::size_t>(args.get_int("unbounded-max", 30000));
+  const auto reps = args.get_size("reps", 3, 1);
+  const auto window_k = args.get_size("window", 64);
+  const auto unbounded_max = args.get_size("unbounded-max", 30000);
   const std::string json_path = args.get("json", "");
   bench::BenchJson json;
-
-  std::vector<std::size_t> sizes;
-  for (const auto& tok : util::split(sizes_arg, ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
-  }
 
   const Solver solvers[] = {
       {"list", plan_list}, {"bnb", plan_bnb}, {"local", plan_local}, {"sa", plan_sa}};
@@ -242,3 +234,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

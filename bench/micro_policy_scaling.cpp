@@ -74,23 +74,15 @@ std::vector<sim::Job> polaris_month_via_swf(std::size_t n_jobs, std::uint64_t se
   return workload::parse_swf(workload::jobs_to_swf(jobs), options);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto sizes_arg = args.get("jobs", "1000,10000");
+int run(const util::CliArgs& args) {
+  const auto sizes = args.get_sizes("jobs", {1000, 10000});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 1));
-  const auto linear_max = static_cast<std::size_t>(args.get_int("linear-max", 30000));
-  const auto trace_jobs = static_cast<std::size_t>(args.get_int("trace-jobs", 100000));
+  const auto reps = args.get_size("reps", 1, 1);
+  const auto linear_max = args.get_size("linear-max", 30000);
+  const auto trace_jobs = args.get_size("trace-jobs", 100000);
   const bool run_trace = !args.has("no-trace");
   const std::string json_path = args.get("json", "");
   bench::BenchJson json;
-
-  std::vector<std::size_t> sizes;
-  for (const auto& tok : util::split(sizes_arg, ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
-  }
 
   sim::EngineConfig config;
   config.record_traces = false;  // isolate policy cost from trace strings
@@ -192,3 +184,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -31,20 +31,12 @@ struct Shape {
   const char* spec;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto sizes_arg = args.get("jobs", "10000,100000");
+int run(const util::CliArgs& args) {
+  const auto sizes = args.get_sizes("jobs", {10000, 100000});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4242));
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 3));
+  const auto reps = args.get_size("reps", 3, 1);
   const std::string json_path = args.get("json", "");
   bench::BenchJson json;
-
-  std::vector<std::size_t> sizes;
-  for (const auto& tok : util::split(sizes_arg, ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
-  }
 
   const Shape shapes[] = {
       {"generate", "hetero_mix"},
@@ -79,3 +71,7 @@ int main(int argc, char** argv) {
   json.save_if(json_path);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -33,6 +33,7 @@
 #include "opt/local_search.hpp"
 #include "opt/optimizing_scheduler.hpp"
 #include "opt/simulated_annealing.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
@@ -803,9 +804,8 @@ std::vector<std::string> run(const Figure& f) {
   return report.failures;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Every argument is a figure name (no --flags), so this reads argv itself.
+int run_figures(int argc, char** argv) {
   std::vector<const Figure*> selected;
   for (int i = 1; i < argc; ++i) {
     const auto it = std::find_if(figures().begin(), figures().end(), [&](const Figure& f) {
@@ -837,4 +837,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, [&](const util::CliArgs&) { return run_figures(argc, argv); });
 }

@@ -134,16 +134,13 @@ PairedTiming run_sustained_pair(const std::string& method, const std::string& sc
   return t;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 10000));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 1000));
-  const auto advances = static_cast<std::size_t>(args.get_int("advances", 200));
+int run(const util::CliArgs& args) {
+  const auto jobs = args.get_size("jobs", 10000, 1);
+  const auto batch = args.get_size("batch", 1000, 1);
+  const auto advances = args.get_size("advances", 200);
   const double rate = args.get_double("rate", 64.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 3));
+  const auto reps = args.get_size("reps", 3, 1);
   const std::string json_path = args.get("json", "");
   const double max_overhead_pct = args.get_double("max-overhead-pct", 2.0);
   bench::BenchJson json;
@@ -216,3 +213,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "harness/method_spec.hpp"
@@ -77,19 +76,9 @@ void print_usage(std::ostream& os, const char* argv0) {
      << "  --help             Show this message\n";
 }
 
-/// A scenario spec, validated against the registry before any cell runs.
-workload::ScenarioSpec parse_scenario_arg(const std::string& arg) {
-  const auto spec = workload::ScenarioSpec::parse(arg);
-  workload::ScenarioRegistry::instance().validate(spec);
-  return spec;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+int run(const util::CliArgs& args) {
   if (args.has("help")) {
-    print_usage(std::cout, argv[0]);
+    print_usage(std::cout, args.program().c_str());
     return 0;
   }
   if (args.has("list-methods")) {
@@ -101,43 +90,20 @@ int main(int argc, char** argv) {
     std::printf("%s", workload::ScenarioRegistry::instance().describe().c_str());
     return 0;
   }
-  // A malformed number is an error, never a silent default.
-  std::size_t n_jobs = 0;
-  long long seed_arg = 0;
-  long long threads_arg = 0;
-  try {
-    n_jobs = static_cast<std::size_t>(args.get_int("jobs", 60));
-    seed_arg = args.get_int("seed", 42);
-    threads_arg = args.get_int("threads", 0);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
   harness::SweepConfig config;
-  workload::ScenarioSpec scenario;
-  try {
-    scenario = parse_scenario_arg(args.get("scenario", "hetero_mix"));
-  } catch (const util::SpecError& e) {
-    std::fprintf(stderr, "error: %s\n(--list-scenarios prints the registry)\n", e.what());
-    return 1;
-  }
+  const std::size_t n_jobs = args.get_size("jobs", 60);
+  config.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  config.threads = args.get_size("threads", 0, 0, 1024);  // 0 = all cores
+  const auto scenario = workload::ScenarioSpec::parse(args.get("scenario", "hetero_mix"));
+  workload::ScenarioRegistry::instance().validate(scenario);
   config.scenarios = {scenario};
   config.job_counts = {n_jobs};
   const auto method_specs = args.get_all("method");
-  if (method_specs.empty()) {
-    config.methods = harness::paper_methods();
-  } else {
-    try {
-      for (const auto& spec : method_specs) {
-        config.methods.push_back(harness::MethodSpec::parse(spec));
-        // Fail fast on unknown names/parameters, before any cell runs.
-        harness::make_scheduler(config.methods.back(), /*seed=*/1);
-      }
-    } catch (const util::SpecError& e) {
-      std::fprintf(stderr, "error: %s\n(--list-methods prints the registry)\n", e.what());
-      return 1;
-    }
+  if (method_specs.empty()) config.methods = harness::paper_methods();
+  for (const auto& spec : method_specs) {
+    config.methods.push_back(harness::MethodSpec::parse(spec));
+    // Fail fast on unknown names/parameters, before any cell runs.
+    harness::make_scheduler(config.methods.back(), /*seed=*/1);
   }
   if (args.has("extensions")) {  // composes with --method panels too
     config.methods.push_back("easy");
@@ -149,23 +115,11 @@ int main(int argc, char** argv) {
   config.repetitions = 1;
   config.arrival_mode = args.has("static") ? workload::ArrivalMode::kStatic
                                            : workload::ArrivalMode::kPoisson;
-  config.base_seed = static_cast<std::uint64_t>(seed_arg);
-  // Non-positive values (including a stray negative) mean "use all cores".
-  config.threads = threads_arg > 0 ? static_cast<std::size_t>(threads_arg) : 0;
 
   // Generate once up front, so ill-typed parameter *values* (validate()
   // checks names/keys only; values are typed at generation) and unreadable
-  // trace paths fail here with the friendly error, not inside the sweep.
-  std::vector<sim::Job> jobs;
-  try {
-    jobs = harness::cell_jobs(config, scenario, n_jobs, 0);
-  } catch (const util::SpecError& e) {
-    std::fprintf(stderr, "error: %s\n(--list-scenarios prints the registry)\n", e.what());
-    return 1;
-  } catch (const std::runtime_error& e) {  // e.g. an unreadable swf/trace path
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  // trace paths fail here, before any cell runs, not inside the sweep.
+  const std::vector<sim::Job> jobs = harness::cell_jobs(config, scenario, n_jobs, 0);
   const auto* info = workload::ScenarioRegistry::instance().find(scenario.base.name);
   std::printf("Scenario: %s - %zu jobs, %s arrivals\nspec: %s\n%s\n\n",
               workload::scenario_label(scenario).c_str(), jobs.size(),
@@ -211,12 +165,11 @@ int main(int argc, char** argv) {
               anchor.c_str(),
               metrics::render_normalized_table(rows, anchor, args.has("raw")).c_str());
   if (args.has("trace-out")) {
-    try {
-      obs::TraceRecorder::global().save_chrome_trace(args.get("trace-out", ""));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+    obs::TraceRecorder::global().save_chrome_trace(args.get("trace-out", ""));
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

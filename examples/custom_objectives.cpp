@@ -18,9 +18,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 60));
+static int run(const util::CliArgs& args) {
+  const auto n_jobs = args.get_size("jobs", 60, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
 
   // A custom temperament: the four prompt objectives, weighted your way.
@@ -57,3 +56,5 @@ int main(int argc, char** argv) {
   std::printf("%s", metrics::render_normalized_table(rows, "FCFS").c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

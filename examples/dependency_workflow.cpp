@@ -15,9 +15,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const int fanout = static_cast<int>(args.get_int("fanout", 6));
+static int run(const util::CliArgs& args) {
+  const int fanout = static_cast<int>(args.get_int("fanout", 6, 0, 100000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
 
   // Build the DAG: job 1 (prep) -> jobs 2..fanout+1 (parallel) -> final job.
@@ -66,3 +65,5 @@ int main(int argc, char** argv) {
               m.makespan, fanout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

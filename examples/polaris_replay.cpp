@@ -23,9 +23,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 100));
+static int run(const util::CliArgs& args) {
+  const auto n_jobs = args.get_size("jobs", 100);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 
   // Raw trace: from disk if provided, otherwise the synthetic generator.
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
     sweep.methods = harness::paper_methods();
     sweep.base_seed = seed;
     sweep.engine = engine;
-    sweep.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+    sweep.threads = args.get_size("threads", 0, 0, 1024);
     // Every cell replays the identical preprocessed trace; the sweep's value
     // here is the method-parallel thread pool and the shared result plumbing.
     // (Without --trace, `--scenario polaris` on compare_schedulers reaches
@@ -84,3 +83,5 @@ int main(int argc, char** argv) {
               "is not a comparison against the real Polaris scheduler.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -17,9 +17,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 12));
+static int run(const util::CliArgs& args) {
+  const auto n_jobs = args.get_size("jobs", 12, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
 
   // 1. Generate a workload: the paper's Heterogeneous Mix scenario with
@@ -79,3 +78,5 @@ int main(int argc, char** argv) {
               agent->transcript().total_elapsed_successful());
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -21,9 +21,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 40));
+static int run(const util::CliArgs& args) {
+  const auto n_jobs = args.get_size("jobs", 40);
 
   // --- Part A: SWF replay ---------------------------------------------------
   std::vector<sim::Job> jobs;
@@ -82,3 +81,5 @@ int main(int argc, char** argv) {
               result.completed.size(), result.n_forced_delays);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -14,9 +14,8 @@
 
 using namespace reasched;
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  const auto n_jobs = static_cast<std::size_t>(args.get_int("jobs", 20));
+static int run(const util::CliArgs& args) {
+  const auto n_jobs = args.get_size("jobs", 20);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const bool use_o4 = args.get("model", "claude") == "o4";
 
@@ -46,3 +45,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

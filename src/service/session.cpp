@@ -1,11 +1,14 @@
 #include "service/session.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <vector>
 
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "service/snapshot.hpp"
+#include "util/string_utils.hpp"
 
 namespace reasched::service {
 
@@ -45,17 +48,29 @@ std::string handle_request(ServiceEngine& engine, const Request& request, bool& 
 
 LoopStats run_service_loop(ServiceEngine& engine, std::istream& in, std::ostream& out) {
   LoopStats stats;
-  std::string line;
-  while (!stats.shutdown && std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++stats.n_requests;
+  // istream::getline stores at most size - 1 characters; a longer line sets
+  // failbit (without eofbit) and leaves its tail in the stream.
+  std::vector<char> buffer(kMaxRequestBytes + 1);
+  while (!stats.shutdown) {
+    in.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
     std::string response;
-    try {
-      const Request request = parse_request(line);
-      response = handle_request(engine, request, stats.shutdown);
-    } catch (const ProtocolError& e) {
-      response = render_error(e.what());
+    if (in.fail()) {
+      if (in.eof() || in.gcount() == 0) break;
+      in.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      response = render_error(util::format("request: line exceeds %zu bytes", kMaxRequestBytes));
+    } else {
+      // gcount() counts the newline too, unless the line ended at EOF.
+      const auto length = static_cast<std::size_t>(in.gcount() - (in.eof() ? 0 : 1));
+      if (length == 0) continue;
+      try {
+        const Request request = parse_request(std::string(buffer.data(), length));
+        response = handle_request(engine, request, stats.shutdown);
+      } catch (const ProtocolError& e) {
+        response = render_error(e.what());
+      }
     }
+    ++stats.n_requests;
     if (response.rfind("{\"ok\":false", 0) == 0) ++stats.n_errors;
     // Flush per line: clients block on our responses (and the checkpoint ack
     // is the durability signal CI kills the process on), so responses must

@@ -21,6 +21,11 @@ struct LoopStats {
 /// Sets `shutdown` on a shutdown request.
 std::string handle_request(ServiceEngine& engine, const Request& request, bool& shutdown);
 
+/// Longest request line run_service_loop reads, in bytes (excluding the
+/// newline). A longer line is consumed without being buffered and answered
+/// with an error response; the session keeps serving.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 /// The single-threaded service loop: one request line in, one response line
 /// out, until EOF or shutdown. This is what `reasched_service` runs on
 /// stdin/stdout.

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 #include "util/string_utils.hpp"
@@ -48,12 +50,47 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
   return it == named_.end() ? fallback : it->second;
 }
 
-long long CliArgs::get_int(const std::string& name, long long fallback) const {
+namespace {
+
+/// `text` as an integer in [min_value, max_value], else std::invalid_argument
+/// naming the flag and the text.
+long long checked_int(const std::string& name, const std::string& text, long long min_value,
+                      long long max_value) {
+  const auto v = parse_int(text);
+  if (!v) throw std::invalid_argument("--" + name + " expects an integer, got '" + text + "'");
+  if (*v < min_value || *v > max_value) {
+    throw std::invalid_argument(format("--%s must be in [%lld, %lld], got '%s'", name.c_str(),
+                                       min_value, max_value, text.c_str()));
+  }
+  return *v;
+}
+
+}  // namespace
+
+long long CliArgs::get_int(const std::string& name, long long fallback, long long min_value,
+                          long long max_value) const {
+  const auto it = named_.find(name);
+  return it == named_.end() ? fallback : checked_int(name, it->second, min_value, max_value);
+}
+
+std::size_t CliArgs::get_size(const std::string& name, std::size_t fallback, std::size_t min_value,
+                              std::size_t max_value) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  const auto v = parse_int(it->second);
-  if (!v) throw std::invalid_argument("--" + name + " expects an integer, got '" + it->second + "'");
-  return *v;
+  const auto lo = static_cast<long long>(min_value);
+  const auto hi = static_cast<long long>(max_value);
+  return static_cast<std::size_t>(checked_int(name, it->second, lo, hi));
+}
+
+std::vector<std::size_t> CliArgs::get_sizes(const std::string& name,
+                                            const std::vector<std::size_t>& fallback) const {
+  const auto it = named_.find(name);
+  if (it == named_.end()) return fallback;
+  std::vector<std::size_t> out;
+  for (const auto& token : split(it->second, ',')) {
+    out.push_back(static_cast<std::size_t>(checked_int(name, token, 1, kMaxCount)));
+  }
+  return out;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
@@ -65,6 +102,17 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
                                 "'");
   }
   return *v;
+}
+
+int run_main(int argc, const char* const* argv, const std::function<int(const CliArgs&)>& run) {
+  const std::string path = argc > 0 ? argv[0] : "";
+  const std::string program = path.substr(path.find_last_of('/') + 1);
+  try {
+    return run(CliArgs(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+    return 1;
+  }
 }
 
 }  // namespace reasched::util

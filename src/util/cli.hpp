@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,15 +15,28 @@ namespace reasched::util {
 /// getters return the last occurrence.
 class CliArgs {
  public:
+  /// Upper bound of the count getters: job ids and snapshot counts are ints.
+  static constexpr int kMaxCount = std::numeric_limits<int>::max();
+
   CliArgs(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   /// Numeric getters: `fallback` when the flag is absent; a value that does
-  /// not parse (or, for get_double, is not finite) throws
-  /// std::invalid_argument naming the flag and the value.
-  long long get_int(const std::string& name, long long fallback) const;
+  /// not parse, is out of [min_value, max_value] or (for get_double) is not
+  /// finite throws std::invalid_argument naming the flag and the value.
+  long long get_int(const std::string& name, long long fallback,
+                    long long min_value = std::numeric_limits<long long>::min(),
+                    long long max_value = std::numeric_limits<long long>::max()) const;
   double get_double(const std::string& name, double fallback) const;
+  /// A count: get_int bounded to [min_value, max_value], so a negative value
+  /// is an error instead of wrapping to SIZE_MAX.
+  std::size_t get_size(const std::string& name, std::size_t fallback, std::size_t min_value = 0,
+                       std::size_t max_value = kMaxCount) const;
+  /// A comma-separated list of counts in [1, kMaxCount] ("1000,10000"); an
+  /// empty or out-of-range token is an error naming the flag.
+  std::vector<std::size_t> get_sizes(const std::string& name,
+                                     const std::vector<std::size_t>& fallback) const;
 
   /// Every value of a repeated flag, in command-line order (empty if absent).
   std::vector<std::string> get_all(const std::string& name) const;
@@ -36,5 +51,10 @@ class CliArgs {
   std::vector<std::pair<std::string, std::string>> ordered_;
   std::vector<std::string> positional_;
 };
+
+/// The one front door of every executable: builds CliArgs, calls `run` and
+/// returns its exit code. A std::exception escaping `run` becomes one
+/// "<program basename>: <message>" line on stderr and exit code 1.
+int run_main(int argc, const char* const* argv, const std::function<int(const CliArgs&)>& run);
 
 }  // namespace reasched::util

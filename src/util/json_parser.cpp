@@ -89,7 +89,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return v;
@@ -130,11 +130,17 @@ class Parser {
     return false;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the containers enclosing this value; each one recurses
+  /// a level, so a container past kMaxJsonDepth is refused.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxJsonDepth) {
+      fail(format("nesting deeper than %zu levels", kMaxJsonDepth));
+    }
+    switch (c) {
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -149,7 +155,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     expect('{');
     JsonValue::Object obj;
     skip_ws();
@@ -162,7 +168,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.emplace(std::move(key), parse_value());
+      obj.emplace(std::move(key), parse_value(depth));
       skip_ws();
       const char c = take();
       if (c == '}') break;
@@ -171,7 +177,7 @@ class Parser {
     return JsonValue(std::move(obj));
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     expect('[');
     JsonValue::Array arr;
     skip_ws();
@@ -180,7 +186,7 @@ class Parser {
       return JsonValue(std::move(arr));
     }
     for (;;) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       skip_ws();
       const char c = take();
       if (c == ']') break;

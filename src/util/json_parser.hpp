@@ -68,8 +68,15 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, so without a limit one line of 50,000 '[' overflows the stack;
+/// real documents (protocol requests, snapshots, provider responses) nest a
+/// handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-/// Throws std::runtime_error with position information on malformed input.
+/// Throws std::runtime_error with position information on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace reasched::util

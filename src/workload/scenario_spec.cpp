@@ -234,6 +234,12 @@ std::vector<sim::Job> generate_mix(const ScenarioSpec& spec, std::size_t n, std:
                                    const GenerateOptions& options) {
   double total_weight = 0.0;
   for (const auto& component : spec.components) total_weight += component.weight;
+  // Each weight is finite, but a sum or an n * weight product can still
+  // overflow to inf (then NaN), and casting either to a count is undefined.
+  const auto overflow = [&spec](const char* what) {
+    return util::SpecError(spec.to_string() + ": mix " + what + " is not finite");
+  };
+  if (!std::isfinite(total_weight)) throw overflow("total weight");
 
   // Largest-remainder split of n across components, ties to earlier
   // components - deterministic in the written component order.
@@ -243,6 +249,7 @@ std::vector<sim::Job> generate_mix(const ScenarioSpec& spec, std::size_t n, std:
   for (std::size_t i = 0; i < spec.components.size(); ++i) {
     const double exact =
         static_cast<double>(n) * spec.components[i].weight / total_weight;
+    if (!std::isfinite(exact)) throw overflow("share");
     counts[i] = static_cast<std::size_t>(exact);
     assigned += counts[i];
     remainders.emplace_back(exact - static_cast<double>(counts[i]), i);

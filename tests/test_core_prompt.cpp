@@ -2,37 +2,12 @@
 
 #include "core/objectives.hpp"
 #include "core/prompt_builder.hpp"
+#include "decision_context_test_helper.hpp"
 
 namespace rc = reasched::core;
 namespace rs = reasched::sim;
-
-namespace {
-rs::Job make_job(int id, int nodes, double mem, double dur, double submit = 0.0) {
-  rs::Job j;
-  j.id = id;
-  j.nodes = nodes;
-  j.memory_gb = mem;
-  j.duration = dur;
-  j.walltime = dur;
-  j.submit_time = submit;
-  j.user = id;
-  return j;
-}
-
-struct CtxFixture {
-  rs::ClusterState cluster{rs::ClusterSpec::paper_default()};
-  std::vector<rs::Job> waiting;
-  std::vector<rs::Job> ineligible;
-  std::vector<rs::ClusterState::Allocation> running;
-  std::vector<rs::CompletedJob> completed;
-
-  rs::DecisionContext ctx(double now = 0.0) {
-    running = cluster.running_by_end_time();
-    return rs::DecisionContext{now,    cluster,   waiting, ineligible,
-                               running, completed, false,   waiting.size()};
-  }
-};
-}  // namespace
+using reasched::testing::CtxFixture;
+using reasched::testing::make_job;
 
 TEST(PromptBuilder, EmptySystemMatchesPaperShape) {
   CtxFixture f;

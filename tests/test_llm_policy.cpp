@@ -1,40 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "decision_context_test_helper.hpp"
 #include "llm/decision_policy.hpp"
 #include "util/rng.hpp"
 
 namespace rl = reasched::llm;
 namespace rs = reasched::sim;
+using reasched::testing::CtxFixture;
+using reasched::testing::make_job;
 
 namespace {
-rs::Job make_job(int id, int nodes, double mem, double dur, double submit = 0.0,
-                 int user = 1) {
-  rs::Job j;
-  j.id = id;
-  j.nodes = nodes;
-  j.memory_gb = mem;
-  j.duration = dur;
-  j.walltime = dur;
-  j.submit_time = submit;
-  j.user = user;
-  return j;
-}
-
-struct CtxFixture {
-  rs::ClusterState cluster{rs::ClusterSpec::paper_default()};
-  std::vector<rs::Job> waiting;
-  std::vector<rs::Job> ineligible;
-  std::vector<rs::ClusterState::Allocation> running;
-  std::vector<rs::CompletedJob> completed;
-  bool arrivals_pending = false;
-
-  rs::DecisionContext ctx(double now = 0.0) {
-    running = cluster.running_by_end_time();
-    return rs::DecisionContext{now,    cluster,   waiting,          ineligible,
-                               running, completed, arrivals_pending, waiting.size()};
-  }
-};
-
 rl::PolicyTemperament quiet_temperament() {
   rl::PolicyTemperament t;
   t.decision_noise = 0.0;

@@ -1,38 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "decision_context_test_helper.hpp"
 #include "llm/scripted_client.hpp"
 #include "llm/simulated_reasoner.hpp"
 #include "llm/transcript.hpp"
 
 namespace rl = reasched::llm;
 namespace rs = reasched::sim;
-
-namespace {
-rs::Job make_job(int id, int nodes, double mem, double dur) {
-  rs::Job j;
-  j.id = id;
-  j.nodes = nodes;
-  j.memory_gb = mem;
-  j.duration = dur;
-  j.walltime = dur;
-  j.user = 1;
-  return j;
-}
-
-struct CtxFixture {
-  rs::ClusterState cluster{rs::ClusterSpec::paper_default()};
-  std::vector<rs::Job> waiting;
-  std::vector<rs::Job> ineligible;
-  std::vector<rs::ClusterState::Allocation> running;
-  std::vector<rs::CompletedJob> completed;
-
-  rs::DecisionContext ctx(double now = 0.0) {
-    running = cluster.running_by_end_time();
-    return rs::DecisionContext{now,    cluster,   waiting, ineligible,
-                               running, completed, false,   waiting.size()};
-  }
-};
-}  // namespace
+using reasched::testing::CtxFixture;
+using reasched::testing::make_job;
 
 TEST(SimulatedReasoner, EmitsReActFormat) {
   CtxFixture f;

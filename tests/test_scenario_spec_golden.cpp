@@ -155,6 +155,24 @@ TEST(ScenarioSpecGolden, CellJobsMatchPinnedDigests) {
   }
 }
 
+TEST(ScenarioSpecGolden, MixCellJobsMatchPinnedDigests) {
+  // The largest-remainder split of a mix: n * weight / total_weight per
+  // component, remainders to the largest fractions. Uneven weights and
+  // sizes that do not divide evenly pin the rounding path bit for bit.
+  const PinnedJobs pins[] = {
+      {"mix(long_job:0.2,resource_sparse:0.8)", 60, 0, 0x97aaf1d6c8786f56ULL},
+      {"mix(homog_short:1,hetero_mix:2,adversarial:3)", 37, 1, 0xc210162a5b863b60ULL},
+      {"mix(bursty_idle:0.1,long_job:0.1,high_parallel:0.1)", 10, 0, 0x0c215b96e88b42f6ULL},
+  };
+  rh::SweepConfig config;
+  config.base_seed = kSeed;
+  for (const auto& pin : pins) {
+    const auto jobs = rh::cell_jobs(config, pin.spec, pin.n, pin.rep);
+    EXPECT_EQ(reasched::testing::jobs_digest(jobs), pin.digest)
+        << pin.spec << " n=" << pin.n << " rep=" << pin.rep;
+  }
+}
+
 TEST(ScenarioSpecGolden, SweepOutcomesUnchangedByScenarioRekey) {
   // One grid over all seven scenarios x {fcfs, sjf, easy}: every cell's
   // RunOutcome matches the digest the enum-keyed sweep produced.

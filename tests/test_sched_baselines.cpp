@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "decision_context_test_helper.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/sjf.hpp"
@@ -7,34 +8,8 @@
 
 namespace rs = reasched::sim;
 namespace rc = reasched::sched;
-
-namespace {
-rs::Job make_job(int id, int nodes, double mem, double dur, double submit = 0.0) {
-  rs::Job j;
-  j.id = id;
-  j.nodes = nodes;
-  j.memory_gb = mem;
-  j.duration = dur;
-  j.walltime = dur;
-  j.submit_time = submit;
-  return j;
-}
-
-struct CtxFixture {
-  rs::ClusterState cluster{rs::ClusterSpec::paper_default()};
-  std::vector<rs::Job> waiting;
-  std::vector<rs::Job> ineligible;
-  std::vector<rs::ClusterState::Allocation> running;
-  std::vector<rs::CompletedJob> completed;
-  bool arrivals_pending = false;
-
-  rs::DecisionContext ctx(double now = 0.0) {
-    running = cluster.running_by_end_time();
-    return rs::DecisionContext{now,    cluster,   waiting,          ineligible,
-                               running, completed, arrivals_pending, waiting.size()};
-  }
-};
-}  // namespace
+using reasched::testing::CtxFixture;
+using reasched::testing::make_job;
 
 TEST(Fcfs, StartsHeadWhenItFits) {
   CtxFixture f;

@@ -5,6 +5,7 @@
 
 #include "service/protocol.hpp"
 #include "service/service_engine.hpp"
+#include "service/snapshot.hpp"
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
 
@@ -72,6 +73,19 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse(R"({"op":"cancel"})"), rsvc::ProtocolError);          // no id
   EXPECT_THROW(parse(R"({"op":"advance"})"), rsvc::ProtocolError);         // no to
   EXPECT_THROW(parse(R"({"op":"checkpoint"})"), rsvc::ProtocolError);      // no path
+}
+
+TEST(ServiceProtocol, DeeplyNestedLinesAreRefusedNotRecursed) {
+  // One 50,000-deep line used to overflow the parser's stack; it is now a
+  // ProtocolError naming the depth limit, on requests and snapshots alike.
+  const std::string deep(50000, '[');
+  try {
+    parse(deep);
+    ADD_FAILURE() << "deep line accepted";
+  } catch (const rsvc::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(rsvc::restore_snapshot_text(deep), rsvc::SnapshotError);
 }
 
 TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndOutOfRangeValues) {

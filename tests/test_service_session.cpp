@@ -64,3 +64,26 @@ TEST(ServiceLoop, MalformedLinesBecomeErrorsNotCrashes) {
   EXPECT_FALSE(stats.shutdown);  // ended by EOF
   EXPECT_EQ(engine.status().n_buffered, 1u);  // the valid submit landed
 }
+
+TEST(ServiceLoop, OversizedAndDeepLinesAreAnsweredAndTheSessionKeepsServing) {
+  rsvc::ServiceEngine engine(fcfs_config());
+  std::string script = std::string(50000, '[') + "\n";
+  script += std::string(rsvc::kMaxRequestBytes + 1, ' ') + "\n";
+  script += "{\"op\":\"submit\",\"job\":{\"duration\":60,\"nodes\":4}}\n";
+  script += std::string(rsvc::kMaxRequestBytes, ' ');  // at the limit, at EOF
+  std::istringstream in(script);
+  std::ostringstream out;
+  const rsvc::LoopStats stats = rsvc::run_service_loop(engine, in, out);
+  EXPECT_EQ(stats.n_requests, 4u);
+  EXPECT_EQ(stats.n_errors, 3u);
+  EXPECT_EQ(engine.status().n_buffered, 1u);  // the submit after both landed
+
+  std::vector<std::string> lines;
+  std::istringstream replies(out.str());
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines[0].find("nesting deeper than"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("line exceeds"), std::string::npos) << lines[1];
+  EXPECT_EQ(lines[2], "{\"ok\":true,\"op\":\"submit\",\"id\":1}");
+  EXPECT_NE(lines[3].find("invalid JSON"), std::string::npos) << lines[3];
+}

@@ -1,39 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "decision_context_test_helper.hpp"
 #include "sim/constraint_checker.hpp"
 #include "sim/feedback.hpp"
 
 namespace rs = reasched::sim;
-
-namespace {
-
-rs::Job make_job(int id, int nodes, double mem, double dur) {
-  rs::Job j;
-  j.id = id;
-  j.nodes = nodes;
-  j.memory_gb = mem;
-  j.duration = dur;
-  j.walltime = dur;
-  return j;
-}
-
-/// Owns all vectors a DecisionContext points to.
-struct CtxFixture {
-  rs::ClusterState cluster{rs::ClusterSpec::paper_default()};
-  std::vector<rs::Job> waiting;
-  std::vector<rs::Job> ineligible;
-  std::vector<rs::ClusterState::Allocation> running;
-  std::vector<rs::CompletedJob> completed;
-  bool arrivals_pending = false;
-
-  rs::DecisionContext ctx(double now = 0.0) {
-    running = cluster.running_by_end_time();
-    return rs::DecisionContext{now,    cluster,   waiting,          ineligible,
-                               running, completed, arrivals_pending, waiting.size()};
-  }
-};
-
-}  // namespace
+using reasched::testing::CtxFixture;
+using reasched::testing::make_job;
 
 TEST(ConstraintChecker, AcceptsFeasibleStart) {
   CtxFixture f;

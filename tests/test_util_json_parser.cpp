@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
@@ -61,6 +62,26 @@ TEST(JsonParser, Errors) {
   EXPECT_THROW(ru::parse_json("{} trailing"), std::runtime_error);
   EXPECT_THROW(ru::parse_json("1.2.3"), std::runtime_error);
   EXPECT_THROW(ru::parse_json("\"bad \\q escape\""), std::runtime_error);
+}
+
+TEST(JsonParser, NestingDepthIsBounded) {
+  // kMaxJsonDepth containers parse; one more is refused with a named error
+  // instead of recursing until the stack overflows.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(ru::parse_json(nested(ru::kMaxJsonDepth)).size(), 1u);
+  EXPECT_THROW(ru::parse_json(nested(ru::kMaxJsonDepth + 1)), std::runtime_error);
+  EXPECT_THROW(ru::parse_json(std::string(50000, '[')), std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i <= ru::kMaxJsonDepth; ++i) objects += "{\"a\":";
+  try {
+    ru::parse_json(objects + "1" + std::string(ru::kMaxJsonDepth + 1, '}'));
+    ADD_FAILURE() << "65 nested objects accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JsonParser, TypeMismatchThrows) {

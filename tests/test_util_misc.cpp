@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
@@ -138,6 +140,65 @@ TEST(Cli, BadNumbersAreRejected) {
   EXPECT_EQ(args.get_int("jobs", 7), 12);
   EXPECT_EQ(args.get_int("seed", 7), 7);
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0.5), 0.5);
+}
+
+namespace {
+
+// The message a CliArgs read throws, or "accepted".
+std::string rejection(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+}  // namespace
+
+TEST(Cli, BoundedGettersRejectOutOfRangeValues) {
+  const char* argv[] = {"prog", "--jobs=-5", "--reps=0", "--seed=-3", "--window=64"};
+  const ru::CliArgs args(5, argv);
+  // A negative count is an error, never a wrap to SIZE_MAX.
+  EXPECT_EQ(rejection([&] { args.get_size("jobs", 60); }),
+            "--jobs must be in [0, 2147483647], got '-5'");
+  EXPECT_EQ(rejection([&] { args.get_size("reps", 3, 1); }),
+            "--reps must be in [1, 2147483647], got '0'");
+  EXPECT_EQ(rejection([&] { args.get_int("window", 8, 1, 32); }),
+            "--window must be in [1, 32], got '64'");
+  // The two-argument form keeps its full range; an absent flag returns the
+  // fallback unchecked.
+  EXPECT_EQ(args.get_int("seed", 42), -3);
+  EXPECT_EQ(args.get_size("window", 1, 1, 64), 64u);
+  EXPECT_EQ(args.get_size("threads", 0, 1), 0u);
+}
+
+TEST(Cli, SizeListGetterChecksEveryToken) {
+  const auto sizes = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    return ru::CliArgs(2, argv).get_sizes("jobs", {7, 8});
+  };
+  EXPECT_EQ(sizes("--jobs=1000,10000"), (std::vector<std::size_t>{1000, 10000}));
+  EXPECT_EQ(sizes("--jobs= 5"), (std::vector<std::size_t>{5}));
+  EXPECT_EQ(sizes("--other=1"), (std::vector<std::size_t>{7, 8}));
+  for (const char* bad : {"--jobs=1x", "--jobs=-5", "--jobs=10,,20", "--jobs=10,", "--jobs=",
+                          "--jobs=0", "--jobs=99999999999"}) {
+    EXPECT_EQ(rejection([&] { sizes(bad); }).rfind("--jobs ", 0), 0u) << bad;
+  }
+}
+
+TEST(Cli, RunMainTurnsAnEscapedExceptionIntoOneLineAndExitOne) {
+  const char* argv[] = {"/some/dir/prog", "--jobs", "1x"};
+  const auto has_jobs = [](const ru::CliArgs& args) { return args.has("jobs") ? 7 : 0; };
+  EXPECT_EQ(ru::run_main(3, argv, has_jobs), 7);
+
+  const auto read_jobs = [](const ru::CliArgs& args) {
+    return static_cast<int>(args.get_size("jobs", 1));
+  };
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ru::run_main(3, argv, read_jobs), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "prog: --jobs expects an integer, got '1x'\n");
 }
 
 TEST(TimeFormat, Durations) {

@@ -177,6 +177,19 @@ TEST(ScenarioSpec, GrammarErrors) {
   EXPECT_EQ(rw::ScenarioSpec::parse(ambiguous.to_string()), ambiguous);
 }
 
+TEST(ScenarioSpec, MixWeightOverflowIsASpecError) {
+  // Each weight is finite, but their sum, or n * weight, can overflow to
+  // inf; a NaN or infinite share must not reach the count cast.
+  expect_scenario_error(
+      [] { rw::generate_scenario("mix(homog_short:1e308,long_job:1e308)", 8, 1); },
+      {"mix(homog_short:1e+308,long_job:1e+308)", "total weight is not finite"});
+  expect_scenario_error([] { rw::generate_scenario("mix(homog_short:1e308)", 8, 1); },
+                        {"mix(homog_short:1e+308)", "share is not finite"});
+  // Large but representable weights split as their ratio says.
+  const auto jobs = rw::generate_scenario("mix(homog_short:1e306,long_job:3e306)", 8, 1);
+  EXPECT_EQ(jobs.size(), 8u);
+}
+
 // The paper panel in presentation order, with the display labels the
 // pre-registry Scenario enum printed. The labels key every cell_seed, so
 // they are the seed contract.
