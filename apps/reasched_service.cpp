@@ -107,4 +107,10 @@ int run(const reasched::util::CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return reasched::util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return reasched::util::run_main(argc, argv,
+                                  {"batch-jobs", "batches", "enforce-walltime", "help", "method",
+                                   "obs", "obs-trace-out", "rate-scale", "restore", "runlog-out",
+                                   "scenario", "seed", "trace-out"},
+                                  run);
+}

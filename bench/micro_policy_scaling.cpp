@@ -187,4 +187,8 @@ int run(const util::CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv,
+                        {"jobs", "json", "linear-max", "no-trace", "reps", "seed", "trace-jobs"},
+                        run);
+}

@@ -74,4 +74,6 @@ int run(const util::CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, {"jobs", "json", "reps", "seed"}, run);
+}

@@ -804,16 +804,15 @@ std::vector<std::string> run(const Figure& f) {
   return report.failures;
 }
 
-/// Every argument is a figure name (no --flags), so this reads argv itself.
-int run_figures(int argc, char** argv) {
+/// Every argument is a figure name: repro accepts no --flags.
+int run_figures(const util::CliArgs& args) {
   std::vector<const Figure*> selected;
-  for (int i = 1; i < argc; ++i) {
-    const auto it = std::find_if(figures().begin(), figures().end(), [&](const Figure& f) {
-      return std::strcmp(f.name, argv[i]) == 0;
-    });
+  for (const std::string& name : args.positional()) {
+    const auto it = std::find_if(figures().begin(), figures().end(),
+                                 [&](const Figure& f) { return name == f.name; });
     if (it == figures().end()) {
       std::fprintf(stderr, "repro: unknown figure '%s'. Usage: repro [NAME...]; figures:\n",
-                   argv[i]);
+                   name.c_str());
       for (const auto& f : figures()) std::fprintf(stderr, "  %-26s %s\n", f.name, f.title);
       return 2;
     }
@@ -842,5 +841,5 @@ int run_figures(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::run_main(argc, argv, [&](const util::CliArgs&) { return run_figures(argc, argv); });
+  return util::run_main(argc, argv, {}, run_figures);
 }

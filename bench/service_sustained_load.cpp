@@ -216,4 +216,9 @@ int run(const util::CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv,
+                        {"advances", "batch", "jobs", "json", "max-overhead-pct", "methods", "rate",
+                         "reps", "scenarios", "seed"},
+                        run);
+}

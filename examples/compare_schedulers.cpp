@@ -172,4 +172,10 @@ int run(const util::CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv,
+                        {"extensions", "help", "jobs", "list-methods", "list-scenarios", "method",
+                         "obs", "raw", "runlog-out", "scenario", "seed", "static", "threads",
+                         "trace-out"},
+                        run);
+}

@@ -84,4 +84,7 @@ static int run(const util::CliArgs& args) {
   return 0;
 }
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv,
+                        {"jobs", "save-raw", "seed", "threads", "trace", "via-sweep"}, run);
+}

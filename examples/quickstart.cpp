@@ -79,4 +79,4 @@ static int run(const util::CliArgs& args) {
   return 0;
 }
 
-int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
+int main(int argc, char** argv) { return util::run_main(argc, argv, {"jobs", "seed"}, run); }

@@ -7,18 +7,14 @@
 namespace reasched::core {
 
 /// Configuration of the ReAct scheduling agent (paper Section 2). Defaults
-/// reproduce the paper's setup; the ablation bench flips the booleans.
+/// reproduce the paper's setup; the scratchpad ablation turns
+/// `scratchpad_enabled` off. The prompt always carries the multiobjective
+/// block, and the scratchpad's token budget is a constant of ReActAgent.
 struct AgentConfig {
   /// Persistent scratchpad memory across timesteps (Section 2.2). When off,
   /// every prompt starts from a blank history - the agent loses both its
   /// decision log and constraint feedback.
   bool scratchpad_enabled = true;
-  /// Token budget for the rendered scratchpad; older entries collapse into
-  /// a one-line summary once exceeded (the paper's context windows are
-  /// finite: 100k for O4-Mini, 200k for Claude 3.7).
-  int scratchpad_token_budget = 8000;
-  /// Include the multiobjective instruction block in the prompt.
-  bool objectives_in_prompt = true;
   /// Planning window bounding how many waiting jobs the prompt lists and
   /// the policy scores per decision (top_k = 0 reproduces the paper's
   /// all-jobs prompt exactly). At trace scale an unbounded prompt grows

@@ -88,8 +88,7 @@ std::string PromptBuilder::build(const sim::DecisionContext& ctx,
 
   os << "\n# Scratchpad (Decision History)\n" << scratchpad_text << "\n";
 
-  if (config_.objectives_in_prompt) os << objectives_block() << "\n";
-  os << action_menu_block();
+  os << objectives_block() << "\n" << action_menu_block();
   return os.str();
 }
 

@@ -5,6 +5,15 @@
 
 namespace reasched::core {
 
+namespace {
+
+/// Token budget for the rendered scratchpad; older entries collapse into a
+/// one-line summary once exceeded (the paper's context windows are finite:
+/// 100k for O4-Mini, 200k for Claude 3.7).
+constexpr int kScratchpadTokenBudget = 8000;
+
+}  // namespace
+
 ReActAgent::ReActAgent(std::shared_ptr<llm::Client> client, llm::ModelProfile profile,
                        AgentConfig config)
     : client_(std::move(client)),
@@ -30,7 +39,7 @@ sim::Action ReActAgent::decide(const sim::DecisionContext& ctx) {
   const bool bounded = config_.window.select(ctx.waiting, window_scratch_);
   const std::vector<std::uint32_t>* window = bounded ? &window_scratch_ : nullptr;
   const std::string scratchpad_text =
-      config_.scratchpad_enabled ? scratchpad_.render(config_.scratchpad_token_budget)
+      config_.scratchpad_enabled ? scratchpad_.render(kScratchpadTokenBudget)
                                  : std::string("(nothing yet)\n");
   last_prompt_ = prompt_builder_.build(ctx, scratchpad_text, window);
 

@@ -1,7 +1,5 @@
 #include "harness/method_registration.hpp"
 
-#include <limits>
-
 #include "core/factory.hpp"
 #include "harness/method_spec.hpp"
 
@@ -26,10 +24,6 @@ AgentConfig agent_config_from(const harness::MethodSpec& spec) {
   const harness::ParamReader params(spec);
   AgentConfig config;
   config.scratchpad_enabled = params.get_bool("scratchpad", config.scratchpad_enabled);
-  config.scratchpad_token_budget =
-      static_cast<int>(params.get_int("scratchpad_budget", config.scratchpad_token_budget, 0,
-                                      std::numeric_limits<int>::max()));
-  config.objectives_in_prompt = params.get_bool("objectives", config.objectives_in_prompt);
   config.window = params.get_window("window", trace_default_window());
   return config;
 }
@@ -40,11 +34,7 @@ std::vector<util::SpecParamInfo> agent_params() {
            "Planning window K|order:K|auto (orders: arrival, sjf); 0 = unbounded paper "
            "semantics, auto = arrival:32, the trace-scale default."},
           {"scratchpad", "bool", defaults.scratchpad_enabled ? "true" : "false",
-           "Persistent scratchpad memory across timesteps (paper Section 2.2)."},
-          {"scratchpad_budget", "int", std::to_string(defaults.scratchpad_token_budget),
-           "Token budget before older scratchpad entries collapse to a summary."},
-          {"objectives", "bool", defaults.objectives_in_prompt ? "true" : "false",
-           "Include the multiobjective instruction block in the prompt."}};
+           "Persistent scratchpad memory across timesteps (paper Section 2.2)."}};
 }
 
 }  // namespace

@@ -16,8 +16,8 @@ namespace reasched::opt {
 /// behaviour the golden tests diff against. `cross_check` is the
 /// differential-oracle bit (PR 3 pattern): every incremental score is
 /// recomputed through the full pipeline and must match bit-for-bit, and
-/// every cutoff abort is verified safe against the full score. Tests and
-/// `opt:portfolio?xcheck=1` run with it on; production paths leave it off.
+/// every cutoff abort is verified safe against the full score. Tests run
+/// with it on; production paths leave it off.
 struct EvalPolicy {
   bool incremental = true;
   /// Per-candidate differential oracle; throws std::logic_error on any
@@ -129,7 +129,6 @@ class IncrementalEvaluator {
   /// of the remaining suffix instead of re-decoding from the divergence.
   Result resume_exact(const std::vector<std::size_t>& order);
 
-  std::size_t base_length() const { return base_.size(); }
   const EvalStats& stats() const { return stats_; }
 
   /// Objective accumulators of the cached base order (valid after score()

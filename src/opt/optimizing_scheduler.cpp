@@ -11,6 +11,15 @@
 
 namespace reasched::opt {
 
+namespace {
+
+/// Full metaheuristic re-optimization every this many greedy insertions (new
+/// arrivals are first placed by best-position insertion, which is cheap;
+/// periodic SA keeps the plan near-optimal).
+constexpr std::size_t kReoptEvery = 16;
+
+}  // namespace
+
 OptimizingScheduler::OptimizingScheduler(OptimizingSchedulerConfig config)
     : config_(config), rng_(config.seed) {}
 
@@ -43,10 +52,8 @@ std::vector<std::pair<std::string, double>> OptimizingScheduler::obs_counters() 
 
 void OptimizingScheduler::full_replan(const ProblemView& problem) {
   ++replans_;
-  if (problem.n_jobs() <= config_.bnb_threshold) {
-    BnbConfig bnb;
-    bnb.eval = config_.eval;
-    const BnbResult exact = branch_and_bound(problem, config_.weights, bnb);
+  if (problem.n_jobs() <= kBnbThreshold) {
+    const BnbResult exact = branch_and_bound(problem, config_.weights);
     bnb_nodes_ += exact.explored;
     priority_.clear();
     for (const std::size_t idx : exact.order) priority_.push_back(problem.job(idx).id);
@@ -62,7 +69,7 @@ void OptimizingScheduler::full_replan(const ProblemView& problem) {
   // OR-Tools.
   std::vector<std::size_t> shuffled = order_by_arrival(problem);
   rng_.shuffle(shuffled);
-  IncrementalEvaluator seed_eval(problem, config_.weights, config_.eval);
+  IncrementalEvaluator seed_eval(problem, config_.weights);
   std::vector<std::size_t> best = order_spt(problem);
   double best_score = seed_eval.score(best);
   for (const auto& seed : {order_by_arrival(problem), order_lpt(problem),
@@ -73,13 +80,10 @@ void OptimizingScheduler::full_replan(const ProblemView& problem) {
       best = seed;
     }
   }
-  SaConfig sa_config = config_.sa;
-  sa_config.eval = config_.eval;
   const std::size_t ls_evals = config_.local_search_evals;
-  auto ls = local_search(problem, std::move(best), config_.weights, ls_evals, config_.eval);
-  auto sa = simulated_annealing(problem, std::move(ls.order), config_.weights, sa_config, rng_);
-  auto polished =
-      local_search(problem, std::move(sa.order), config_.weights, ls_evals / 2, config_.eval);
+  auto ls = local_search(problem, std::move(best), config_.weights, ls_evals);
+  auto sa = simulated_annealing(problem, std::move(ls.order), config_.weights, config_.sa, rng_);
+  auto polished = local_search(problem, std::move(sa.order), config_.weights, ls_evals / 2);
   accumulate_eval(seed_eval.stats());
   accumulate_eval(ls.eval);
   accumulate_eval(sa.eval);
@@ -114,7 +118,7 @@ void OptimizingScheduler::insert_new_jobs(const ProblemView& problem) {
   // cutoff. An aborted probe proves score >= best_score, which the old
   // full-decode sweep would have rejected anyway (strict <, earliest
   // position keeps ties), so the chosen positions are bit-identical.
-  IncrementalEvaluator eval(problem, config_.weights, config_.eval);
+  IncrementalEvaluator eval(problem, config_.weights);
   std::vector<std::size_t> base;
   base.reserve(priority_.size() + new_ids.size());
   for (const sim::JobId pid : priority_) base.push_back(resolve(pid));
@@ -141,7 +145,7 @@ void OptimizingScheduler::insert_new_jobs(const ProblemView& problem) {
     ++insertions_since_reopt_;
   }
   accumulate_eval(eval.stats());
-  if (insertions_since_reopt_ >= config_.reopt_every) {
+  if (insertions_since_reopt_ >= kReoptEvery) {
     full_replan(problem);
   }
 }

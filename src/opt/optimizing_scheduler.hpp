@@ -13,27 +13,20 @@
 
 namespace reasched::opt {
 
+/// Queue sizes up to this are planned exactly by branch-and-bound; larger
+/// queues fall back to seeds + local search + simulated annealing.
+inline constexpr std::size_t kBnbThreshold = 9;
+
 struct OptimizingSchedulerConfig {
   ObjectiveWeights weights;
-  /// Queue sizes up to this use exact branch-and-bound; larger fall back to
-  /// seeds + local search + simulated annealing.
-  std::size_t bnb_threshold = 9;
   SaConfig sa;
   std::size_t local_search_evals = 3000;
-  /// Full metaheuristic re-optimization every this many greedy insertions
-  /// (new arrivals are first placed by best-position insertion, which is
-  /// cheap; periodic SA keeps the plan near-optimal).
-  std::size_t reopt_every = 16;
   std::uint64_t seed = 1;
   /// Planning window bounding how many waiting jobs each plan considers
   /// (top_k = 0 reproduces the paper's all-jobs semantics exactly). Jobs
   /// outside the window are invisible to the plan until they enter it -
   /// the fixed-size-observation trade the related RL schedulers make.
   sim::PlanningWindow window;
-  /// Incremental/cutoff evaluation wiring, forwarded to every solver in the
-  /// portfolio (incremental=false restores the naive full-decode pipeline;
-  /// cross_check=true runs the per-candidate differential oracle).
-  EvalPolicy eval;
   /// Differential-oracle mode (tests/test_opt_golden.cpp): plan over the
   /// copying Problem::from_context snapshot instead of the zero-copy
   /// ProblemView. Decisions must be bit-identical when window.top_k == 0.

@@ -6,6 +6,13 @@
 
 namespace reasched::opt {
 
+namespace {
+
+constexpr double kInitialTemperature = 0.05;  ///< fraction of the seed score
+constexpr double kCooling = 0.995;            ///< geometric cooling per iteration
+
+}  // namespace
+
 SaResult simulated_annealing(const ProblemView& problem, std::vector<std::size_t> seed_order,
                              const ObjectiveWeights& weights, const SaConfig& config,
                              util::Rng& rng) {
@@ -26,7 +33,7 @@ SaResult simulated_annealing(const ProblemView& problem, std::vector<std::size_t
 
   std::vector<std::size_t> current = std::move(seed_order);
   double current_score = best.score;
-  double temperature = std::max(1e-9, best.score * config.initial_temperature);
+  double temperature = std::max(1e-9, best.score * kInitialTemperature);
 
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     std::vector<std::size_t> candidate = current;
@@ -88,7 +95,7 @@ SaResult simulated_annealing(const ProblemView& problem, std::vector<std::size_t
       // just decoded this exact order to completion, so the adoption is O(1).
       eval.commit_last();
     }
-    temperature = std::max(1e-9, temperature * config.cooling);
+    temperature = std::max(1e-9, temperature * kCooling);
   }
   best.eval = eval.stats();
   return best;

@@ -11,9 +11,7 @@ namespace reasched::opt {
 
 struct SaConfig {
   std::size_t iterations = 4000;
-  double initial_temperature = 0.05;  ///< fraction of the seed score
-  double cooling = 0.995;             ///< geometric cooling per iteration
-  EvalPolicy eval;                    ///< incremental/cutoff evaluation wiring
+  EvalPolicy eval;  ///< incremental/cutoff evaluation wiring
 };
 
 struct SaResult {

@@ -127,8 +127,9 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
   }
   const util::JsonValue& cfg = doc.at("config");
 
-  ServiceConfig config;
+  std::unique_ptr<ServiceEngine> engine;
   try {
+    ServiceConfig config;
     config.method = harness::MethodSpec::parse(cfg.at("method").as_string());
     config.seed = std::stoull(cfg.at("seed").as_string());
     const util::JsonValue& eng = cfg.at("engine");
@@ -149,13 +150,13 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
           static_cast<std::size_t>(exact_int(stream, "max_batches", 0)),
           exact_number(stream, "rate_scale"));
     }
+    // Building the engine builds the scheduler, which checks the method spec.
+    engine = std::make_unique<ServiceEngine>(config);
   } catch (const SnapshotError&) {
     throw;
   } catch (const std::exception& e) {
     throw SnapshotError(util::format("snapshot: bad config (%s)", e.what()));
   }
-
-  auto engine = std::make_unique<ServiceEngine>(config);
 
   if (!doc.contains("ops") || !doc.at("ops").is_array()) {
     throw SnapshotError("snapshot: missing \"ops\" array");

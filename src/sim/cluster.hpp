@@ -68,8 +68,6 @@ class ClusterState {
   const ClusterSpec& spec() const { return spec_; }
   int available_nodes() const { return available_nodes_; }
   double available_memory_gb() const { return available_memory_gb_; }
-  int used_nodes() const { return spec_.total_nodes - available_nodes_; }
-  double used_memory_gb() const { return spec_.total_memory_gb - available_memory_gb_; }
 
   /// Can `job` run right now? (first-fit feasibility test).
   bool fits(const Job& job) const;

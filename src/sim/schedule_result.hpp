@@ -49,9 +49,6 @@ struct ScheduleResult {
 
   /// Find the record for `id`; throws std::out_of_range when absent.
   const CompletedJob& find(JobId id) const;
-  bool all_completed(std::size_t expected_jobs) const {
-    return completed.size() == expected_jobs;
-  }
 
   /// Wait/turnaround vectors in job-id order, for metric computation.
   std::vector<double> wait_times() const;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -43,6 +44,17 @@ std::vector<std::string> CliArgs::get_all(const std::string& name) const {
     if (key == name) out.push_back(value);
   }
   return out;
+}
+
+void CliArgs::reject_unlisted(const std::vector<std::string>& accepted) const {
+  for (const auto& entry : ordered_) {
+    if (std::find(accepted.begin(), accepted.end(), entry.first) == accepted.end()) {
+      std::string listed;
+      for (const auto& flag : accepted) listed += (listed.empty() ? "--" : ", --") + flag;
+      throw std::invalid_argument("unknown flag --" + entry.first + " (accepted: " +
+                                  (listed.empty() ? "none" : listed) + ")");
+    }
+  }
 }
 
 std::string CliArgs::get(const std::string& name, const std::string& fallback) const {
@@ -104,11 +116,14 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   return *v;
 }
 
-int run_main(int argc, const char* const* argv, const std::function<int(const CliArgs&)>& run) {
+int run_main(int argc, const char* const* argv, const std::vector<std::string>& flags,
+             const std::function<int(const CliArgs&)>& run) {
   const std::string path = argc > 0 ? argv[0] : "";
   const std::string program = path.substr(path.find_last_of('/') + 1);
   try {
-    return run(CliArgs(argc, argv));
+    const CliArgs args(argc, argv);
+    args.reject_unlisted(flags);
+    return run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
     return 1;

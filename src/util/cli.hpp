@@ -41,6 +41,10 @@ class CliArgs {
   /// Every value of a repeated flag, in command-line order (empty if absent).
   std::vector<std::string> get_all(const std::string& name) const;
 
+  /// Throws std::invalid_argument naming the first --flag (in command-line
+  /// order) that is not in `accepted`, and listing `accepted`.
+  void reject_unlisted(const std::vector<std::string>& accepted) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
@@ -52,9 +56,12 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// The one front door of every executable: builds CliArgs, calls `run` and
-/// returns its exit code. A std::exception escaping `run` becomes one
-/// "<program basename>: <message>" line on stderr and exit code 1.
-int run_main(int argc, const char* const* argv, const std::function<int(const CliArgs&)>& run);
+/// The one front door of every executable: builds CliArgs, refuses any
+/// --flag not named in `flags` (so a misspelt flag never runs the defaults),
+/// calls `run` and returns its exit code. The refusal and any std::exception
+/// escaping `run` become one "<program basename>: <message>" line on stderr
+/// and exit code 1.
+int run_main(int argc, const char* const* argv, const std::vector<std::string>& flags,
+             const std::function<int(const CliArgs&)>& run);
 
 }  // namespace reasched::util

@@ -195,11 +195,6 @@ bool SpecParamReader::get_bool(const std::string& key, bool fallback) const {
   fail(key, "expects a boolean (true/false/1/0/on/off)");
 }
 
-std::string SpecParamReader::get_string(const std::string& key, const std::string& fallback) const {
-  const std::string* v = stage_->find_param(key);
-  return v == nullptr ? fallback : *v;
-}
-
 std::string SpecParamReader::require_string(const std::string& key) const {
   const std::string* v = stage_->find_param(key);
   if (v == nullptr || v->empty()) {

@@ -94,7 +94,6 @@ class SpecParamReader {
   double get_double(const std::string& key, double fallback, double min_value,
                     double max_value) const;
   bool get_bool(const std::string& key, bool fallback) const;
-  std::string get_string(const std::string& key, const std::string& fallback) const;
   /// Required-string form: throws when the key is absent or empty.
   std::string require_string(const std::string& key) const;
   /// `MIN:MAX` range of doubles (e.g. `walltime_noise=1.0:3.0`); a single

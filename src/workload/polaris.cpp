@@ -13,6 +13,10 @@ namespace reasched::workload {
 
 namespace {
 
+constexpr int kUsers = 20;
+constexpr int kGroups = 6;
+constexpr double kEpochStart = 1730419200.0;  ///< Nov 1 2024 00:00:00 UTC
+
 const std::vector<std::string> kRawHeader = {
     "JOB_NAME",        "USER",
     "GROUP",           "SUBMIT_TIMESTAMP",
@@ -35,11 +39,11 @@ util::CsvTable generate_polaris_raw_trace(const PolarisTraceConfig& config, std:
   util::Rng rng(util::derive_seed(seed, "polaris-trace"));
   util::CsvTable t(kRawHeader);
 
-  const auto user_weights = zipf_weights(config.n_users, 1.0);
-  double submit = static_cast<double>(config.epoch_start);
+  const auto user_weights = zipf_weights(kUsers, 1.0);
+  double submit = kEpochStart;
   for (std::size_t i = 0; i < config.n_jobs; ++i) {
     const int user = static_cast<int>(rng.weighted_index(user_weights)) + 1;
-    const int group = (user - 1) % config.n_groups + 1;
+    const int group = (user - 1) % kGroups + 1;
     const int nodes = draw_polaris_nodes(rng);
     // Runtime: heavy-tailed log-normal, 1 minute to 24 hours.
     const double runtime = std::clamp(rng.lognormal(std::log(1800.0), 1.2), 60.0, 86400.0);

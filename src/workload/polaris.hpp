@@ -29,10 +29,6 @@ struct PolarisTraceConfig {
   /// makes the Figure 8 comparison non-trivial (an idle-at-zero cluster
   /// absorbs sparse arrivals with zero waits for every scheduler).
   double mean_interarrival_s = 180.0;
-  int n_users = 20;
-  int n_groups = 6;
-  /// Nov 1 2024 00:00:00 UTC.
-  std::int64_t epoch_start = 1730419200;
 };
 
 /// Generate a raw Polaris-like trace (deterministic in `seed`).

@@ -64,17 +64,6 @@ TEST(PromptBuilder, ScratchpadTextEmbeddedVerbatim) {
   EXPECT_NE(prompt.find("[t=0] Action: StartJob(job_id=9)"), std::string::npos);
 }
 
-TEST(PromptBuilder, ObjectivesCanBeDisabled) {
-  CtxFixture f;
-  rc::AgentConfig config;
-  config.objectives_in_prompt = false;
-  const rc::PromptBuilder builder{config};
-  const std::string prompt = builder.build(f.ctx(), "x\n");
-  EXPECT_EQ(prompt.find("Your scheduling objectives are:"), std::string::npos);
-  // The action menu must survive regardless.
-  EXPECT_NE(prompt.find("StartJob(job_id=X)"), std::string::npos);
-}
-
 TEST(ObjectivesBlock, ContainsAllFiveGoals) {
   const std::string block = rc::objectives_block();
   for (const char* goal : {"Fairness", "Makespan", "Utilization", "Throughput",

@@ -177,12 +177,13 @@ TEST(MethodRegistry, IllTypedValuesRejected) {
   expect_spec_error(
       [] { rh::make_scheduler(rh::MethodSpec("agent:claude37?scratchpad=maybe"), 1); },
       {"scratchpad", "boolean", "maybe"});
-  // Out-of-int-range budgets must error, not wrap into a negative config.
+  // Keys whose one value in use became a constant are refused by name.
   expect_spec_error(
-      [] {
-        rh::make_scheduler(rh::MethodSpec("agent:claude37?scratchpad_budget=6442450944"), 1);
-      },
-      {"scratchpad_budget", "must be in"});
+      [] { rh::make_scheduler(rh::MethodSpec("agent:claude37?scratchpad_budget=1"), 1); },
+      {"does not accept parameter 'scratchpad_budget'", "accepted parameters: window, scratchpad"});
+  expect_spec_error([] { rh::make_scheduler(rh::MethodSpec("opt:portfolio?xcheck=1"), 1); },
+                    {"does not accept parameter 'xcheck'",
+                     "accepted parameters: budget, ls_evals, window"});
   expect_spec_error(
       [] { rh::make_scheduler(rh::MethodSpec("agent:claude37?window=widest:8"), 1); },
       {"window", "widest", "arrival"});

@@ -174,6 +174,13 @@ TEST(ServiceCheckpointGolden, TamperedSnapshotsAreRejected) {
   nibble = nibble == '0' ? '1' : '0';
   EXPECT_THROW(rsvc::restore_snapshot_text(snapshot), rsvc::SnapshotError);
 
+  // A method key that is no longer settable is refused by name, not ignored.
+  std::string removed_key = rsvc::snapshot_to_json(engine);
+  const std::size_t easy = removed_key.find("\"method\":\"easy\"");
+  ASSERT_NE(easy, std::string::npos);
+  expect_refused(removed_key.replace(easy, 15, "\"method\":\"opt:portfolio?xcheck=1\""),
+                 "does not accept parameter 'xcheck'");
+
   EXPECT_THROW(rsvc::restore_snapshot_text("{\"version\":99}"), rsvc::SnapshotError);
   EXPECT_THROW(rsvc::restore_snapshot_text("not json"), rsvc::SnapshotError);
 }

@@ -15,7 +15,7 @@ namespace {
 // before the method and scenario registries moved onto the shared
 // util::SpecTable; any change to a name, label, doc string, declared
 // parameter, default or column layout moves them.
-constexpr std::uint64_t kMethodListingDigest = 0xc519b20e8f2a40ebULL;
+constexpr std::uint64_t kMethodListingDigest = 0xac7e7056c0fc3b5cULL;
 constexpr std::uint64_t kScenarioListingDigest = 0xf6567256ee307a3eULL;
 
 TEST(SpecRegistryGolden, ListingsMatchPinnedDigests) {

@@ -190,15 +190,41 @@ TEST(Cli, SizeListGetterChecksEveryToken) {
 TEST(Cli, RunMainTurnsAnEscapedExceptionIntoOneLineAndExitOne) {
   const char* argv[] = {"/some/dir/prog", "--jobs", "1x"};
   const auto has_jobs = [](const ru::CliArgs& args) { return args.has("jobs") ? 7 : 0; };
-  EXPECT_EQ(ru::run_main(3, argv, has_jobs), 7);
+  EXPECT_EQ(ru::run_main(3, argv, {"jobs"}, has_jobs), 7);
 
   const auto read_jobs = [](const ru::CliArgs& args) {
     return static_cast<int>(args.get_size("jobs", 1));
   };
   ::testing::internal::CaptureStderr();
-  EXPECT_EQ(ru::run_main(3, argv, read_jobs), 1);
+  EXPECT_EQ(ru::run_main(3, argv, {"jobs"}, read_jobs), 1);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(),
             "prog: --jobs expects an integer, got '1x'\n");
+}
+
+TEST(Cli, RunMainRefusesUnlistedFlags) {
+  // A misspelt flag must not run the defaults: `run` is never called.
+  bool ran = false;
+  const auto run = [&](const ru::CliArgs&) {
+    ran = true;
+    return 0;
+  };
+  const char* typo[] = {"/bin/quickstart", "--seed", "4", "--jbos=3"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ru::run_main(4, typo, {"jobs", "seed"}, run), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "quickstart: unknown flag --jbos (accepted: --jobs, --seed)\n");
+  EXPECT_FALSE(ran);
+
+  const char* flag[] = {"repro", "fig3", "--foo"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ru::run_main(3, flag, {}, run), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "repro: unknown flag --foo (accepted: none)\n");
+  EXPECT_FALSE(ran);
+
+  const char* listed[] = {"quickstart", "--jobs", "3", "--seed=4", "positional"};
+  EXPECT_EQ(ru::run_main(5, listed, {"jobs", "seed"}, run), 0);
+  EXPECT_TRUE(ran);
 }
 
 TEST(TimeFormat, Durations) {
