@@ -87,7 +87,6 @@ struct DeepQueue {
                                 cluster.running_view(),
                                 completed,
                                 false,
-                                table.size(),
                                 &table};
   }
 };

@@ -6,17 +6,15 @@
 //
 //   ./examples/polaris_replay [--jobs 100] [--seed 11] [--trace file.csv]
 //                             [--save-raw results/polaris_raw.csv]
-//                             [--via-sweep] [--threads N]
 //
-// --via-sweep routes the replay through run_sweep's workload_source hook
-// instead of calling run_method per method: the methods then run in
-// parallel on the harness thread pool, which is how month-scale traces
-// (10^5+ jobs - see bench/micro_policy_scaling) should be replayed.
+// Every method replays the same preprocessed jobs under the same --seed,
+// one run_method call each. Without --trace, `compare_schedulers
+// --scenario polaris` reaches the same substrate through the scenario
+// registry and the parallel sweep.
 
 #include <cstdio>
 
 #include "harness/experiment.hpp"
-#include "harness/sweep.hpp"
 #include "metrics/report.hpp"
 #include "util/cli.hpp"
 #include "workload/polaris.hpp"
@@ -52,30 +50,9 @@ static int run(const util::CliArgs& args) {
   engine.cluster = sim::ClusterSpec::polaris();  // 560 nodes, idle at t=0
 
   std::vector<metrics::MethodResult> rows;
-  if (args.has("via-sweep")) {
-    harness::SweepConfig sweep;
-    sweep.scenarios = {"polaris"};  // label only: workload_source overrides generation
-    sweep.job_counts = {jobs.size()};
-    sweep.methods = harness::paper_methods();
-    sweep.base_seed = seed;
-    sweep.engine = engine;
-    sweep.threads = args.get_size("threads", 0, 0, 1024);
-    // Every cell replays the identical preprocessed trace; the sweep's value
-    // here is the method-parallel thread pool and the shared result plumbing.
-    // (Without --trace, `--scenario polaris` on compare_schedulers reaches
-    // the same substrate through the scenario registry instead.)
-    sweep.workload_source = [&jobs](const workload::ScenarioSpec&, std::size_t,
-                                    std::uint64_t) { return jobs; };
-    const auto results = harness::run_sweep(sweep);
-    for (const auto& method : harness::paper_methods()) {  // presentation order
-      const harness::Cell cell{sweep.scenarios[0], jobs.size(), method, 0};
-      rows.push_back({harness::method_label(method), results.at(cell).metrics});
-    }
-  } else {
-    for (const auto& method : harness::paper_methods()) {
-      const auto outcome = harness::run_method(jobs, method, seed, engine);
-      rows.push_back({harness::method_label(method), outcome.metrics});
-    }
+  for (const auto& method : harness::paper_methods()) {
+    const auto outcome = harness::run_method(jobs, method, seed, engine);
+    rows.push_back({harness::method_label(method), outcome.metrics});
   }
   std::printf("Normalized performance on the Polaris trace (FCFS = 1.0):\n\n%s",
               metrics::render_normalized_table(rows, "FCFS").c_str());
@@ -86,5 +63,5 @@ static int run(const util::CliArgs& args) {
 
 int main(int argc, char** argv) {
   return util::run_main(argc, argv,
-                        {"jobs", "save-raw", "seed", "threads", "trace", "via-sweep"}, run);
+                        {"jobs", "save-raw", "seed", "trace"}, run);
 }

@@ -47,7 +47,6 @@ sim::Action ReActAgent::decide(const sim::DecisionContext& ctx) {
   //    the prompt describes (see llm::PromptContext).
   llm::PromptContext pctx;
   pctx.decision = &ctx;
-  pctx.scratchpad_entries = scratchpad_.size();
   pctx.window = window;
   if (config_.scratchpad_enabled) pctx.recently_rejected = scratchpad_.rejected_at(ctx.now);
 
@@ -79,7 +78,6 @@ sim::Action ReActAgent::decide(const sim::DecisionContext& ctx) {
   if (parsed.action) scratchpad_.record_decision(ctx.now, parsed.thought, action);
 
   llm::CallRecord record;
-  record.sim_time = ctx.now;
   record.latency_seconds = response.latency_seconds;
   record.prompt_tokens = response.prompt_tokens;
   record.completion_tokens = response.completion_tokens;

@@ -59,7 +59,6 @@ void register_methods(harness::MethodRegistry& registry) {
     registry.add({.name = agent.name,
                   .display_label = agent.label,
                   .doc = agent.doc,
-                  .is_llm = true,
                   .params = agent_params(),
                   .build = [profile = agent.profile](const harness::MethodSpec& spec,
                                                      std::uint64_t seed) {

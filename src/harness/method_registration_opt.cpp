@@ -19,6 +19,18 @@ sim::PlanningWindow trace_default_window() {
   return w;
 }
 
+/// Upper bound on `budget` and `ls_evals`: 250x the largest default, far
+/// above every in-tree spec, yet small enough that one replan cannot run
+/// for hours.
+constexpr long long kMaxSolverEvals = 1'000'000;
+
+/// A solver evaluation count read from `key`, in [0, kMaxSolverEvals].
+std::size_t solver_evals(const harness::ParamReader& params, const std::string& key,
+                         std::size_t fallback) {
+  const auto fallback_ll = static_cast<long long>(fallback);
+  return static_cast<std::size_t>(params.get_int(key, fallback_ll, 0, kMaxSolverEvals));
+}
+
 }  // namespace
 
 void register_methods(harness::MethodRegistry& registry) {
@@ -28,7 +40,6 @@ void register_methods(harness::MethodRegistry& registry) {
        .display_label = "OR-Tools*",
        .doc = "Optimization baseline (OR-Tools substitute): exact B&B for small queues, "
               "seeds + local search + SA above.",
-       .is_llm = false,
        .params =
            {{"budget", "int", std::to_string(defaults.sa.iterations),
              "Simulated-annealing iterations per full replan."},
@@ -42,10 +53,9 @@ void register_methods(harness::MethodRegistry& registry) {
              const harness::ParamReader params(spec);
              OptimizingSchedulerConfig config;
              config.seed = seed;
-             config.sa.iterations = static_cast<std::size_t>(
-                 params.get_int("budget", static_cast<long long>(config.sa.iterations)));
-             config.local_search_evals = static_cast<std::size_t>(params.get_int(
-                 "ls_evals", static_cast<long long>(config.local_search_evals)));
+             config.sa.iterations = solver_evals(params, "budget", config.sa.iterations);
+             config.local_search_evals =
+                 solver_evals(params, "ls_evals", config.local_search_evals);
              config.window = params.get_window("window", trace_default_window());
              return std::make_unique<OptimizingScheduler>(config);
            }});

@@ -11,7 +11,6 @@ void register_methods(harness::MethodRegistry& registry) {
   registry.add({.name = "fcfs",
                 .display_label = "FCFS",
                 .doc = "First-come-first-served baseline (paper Section 3.4).",
-                .is_llm = false,
                 .params = {},
                 .build = [](const harness::MethodSpec&, std::uint64_t) {
                   return std::make_unique<FcfsScheduler>();
@@ -19,7 +18,6 @@ void register_methods(harness::MethodRegistry& registry) {
   registry.add({.name = "sjf",
                 .display_label = "SJF",
                 .doc = "Shortest-job-first by walltime estimate (paper Section 3.4).",
-                .is_llm = false,
                 .params = {},
                 .build = [](const harness::MethodSpec&, std::uint64_t) {
                   return std::make_unique<SjfScheduler>();
@@ -28,7 +26,6 @@ void register_methods(harness::MethodRegistry& registry) {
                 .display_label = "EASY-Backfill",
                 .doc = "EASY backfilling extension: FCFS head reservation + shadow-safe "
                        "backfill.",
-                .is_llm = false,
                 .params = {},
                 .build = [](const harness::MethodSpec&, std::uint64_t) {
                   return std::make_unique<EasyBackfillScheduler>();

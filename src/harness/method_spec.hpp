@@ -63,7 +63,6 @@ struct MethodInfo {
   std::string name;           ///< canonical registry key, e.g. "agent:claude37"
   std::string display_label;  ///< presentation label, e.g. "Claude 3.7"
   std::string doc;            ///< one-line description for --list-methods
-  bool is_llm = false;        ///< contributes LLM overhead accounting
   std::vector<util::SpecParamInfo> params;
   std::function<std::unique_ptr<sim::Scheduler>(const MethodSpec&, std::uint64_t seed)> build;
 };

@@ -8,10 +8,6 @@ const std::vector<MethodSpec>& paper_methods() {
   return v;
 }
 
-bool is_llm_method(const MethodSpec& spec) {
-  return MethodRegistry::instance().at(spec.name).is_llm;
-}
-
 std::unique_ptr<sim::Scheduler> make_scheduler(const MethodSpec& spec, std::uint64_t seed) {
   return MethodRegistry::instance().build(spec, seed);
 }

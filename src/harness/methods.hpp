@@ -17,9 +17,6 @@ namespace reasched::harness {
 /// canonical (parameter-free) specs.
 const std::vector<MethodSpec>& paper_methods();
 
-/// Does the method drive an LLM client (overhead accounting applies)?
-bool is_llm_method(const MethodSpec& spec);
-
 /// Instantiate a fresh scheduler for one run via the registry. `seed` feeds
 /// every stochastic component (SA restarts, decision noise, latency
 /// sampling). Throws util::SpecError for unknown names or bad parameters.

@@ -14,8 +14,6 @@ namespace reasched::llm {
 /// (ARCHITECTURE.md, "Substitutions").
 struct PromptContext {
   const sim::DecisionContext* decision = nullptr;
-  /// Total scratchpad entries so far (context growth drives token counts).
-  std::size_t scratchpad_entries = 0;
   /// Job ids rejected by constraint enforcement at the *current* timestep -
   /// the information the paper's feedback loop injects. Empty when the
   /// feedback channel is disabled (ablation).

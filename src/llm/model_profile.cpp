@@ -9,7 +9,6 @@ ModelProfile claude37_profile() {
   p.display_name = "Claude 3.7";
   p.api_id = "claude-3-7-sonnet@vertex";
   p.max_completion_tokens = 5000;
-  p.context_window_tokens = 200000;
   p.temperature = 0.0;
 
   p.temperament.w_fairness = 0.30;
@@ -38,7 +37,6 @@ ModelProfile o4mini_profile() {
   p.display_name = "O4-Mini";
   p.api_id = "o4-mini@azure";
   p.max_completion_tokens = 100000;
-  p.context_window_tokens = 100000;
   p.temperature = 1.0;  // fixed internally, not user-controllable (S3.3)
 
   // Efficiency-leaning temperament: strong throughput/utilization pull,

@@ -33,7 +33,6 @@ struct ModelProfile {
   std::string display_name;  ///< "Claude 3.7"
   std::string api_id;        ///< "claude-3-7-sonnet@vertex"
   int max_completion_tokens = 5000;
-  int context_window_tokens = 200000;
   double temperature = 0.0;
   PolicyTemperament temperament;
   LatencyParams latency;

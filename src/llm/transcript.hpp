@@ -9,7 +9,6 @@ namespace reasched::llm {
 /// Accounting record of one LLM call, as used by the paper's computational
 /// overhead analysis (Section 3.7).
 struct CallRecord {
-  double sim_time = 0.0;
   double latency_seconds = 0.0;
   int prompt_tokens = 0;
   int completion_tokens = 0;

@@ -1,5 +1,7 @@
 #include "metrics/aggregate.hpp"
 
+#include "util/stats.hpp"
+
 namespace reasched::metrics {
 
 void MetricAggregate::add(const MetricSet& sample) { samples_.push_back(sample); }
@@ -14,8 +16,6 @@ std::vector<double> MetricAggregate::values(Metric m) const {
 double MetricAggregate::mean(Metric m) const { return util::mean(values(m)); }
 
 double MetricAggregate::stddev(Metric m) const { return util::stddev(values(m)); }
-
-util::BoxStats MetricAggregate::box(Metric m) const { return util::box_stats(values(m)); }
 
 MetricSet MetricAggregate::mean_set() const {
   MetricSet out;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "metrics/metrics.hpp"
-#include "util/stats.hpp"
 
 namespace reasched::metrics {
 
@@ -20,7 +19,6 @@ class MetricAggregate {
   std::vector<double> values(Metric m) const;
   double mean(Metric m) const;
   double stddev(Metric m) const;
-  util::BoxStats box(Metric m) const;
 
   /// Mean metric set across repetitions (used as the representative value
   /// when a figure reports a single number per cell).

@@ -70,17 +70,6 @@ std::vector<double> per_user_mean_waits(const sim::ScheduleResult& result) {
   return out;
 }
 
-double avg_bounded_slowdown(const sim::ScheduleResult& result, double tau) {
-  if (result.completed.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& c : result.completed) {
-    const double run = c.end_time - c.start_time;
-    const double slowdown = (c.wait_time() + run) / std::max(run, tau);
-    total += std::max(1.0, slowdown);
-  }
-  return total / static_cast<double>(result.completed.size());
-}
-
 MetricSet compute_metrics(const sim::ScheduleResult& result, const sim::ClusterSpec& spec) {
   if (result.completed.empty()) {
     throw std::invalid_argument("compute_metrics: empty schedule result");

@@ -57,11 +57,4 @@ MetricSet compute_metrics(const sim::ScheduleResult& result, const sim::ClusterS
 /// Per-user average wait times (sorted by user id), exposed for tests.
 std::vector<double> per_user_mean_waits(const sim::ScheduleResult& result);
 
-/// Average bounded slowdown - the standard supplementary HPC responsiveness
-/// metric (not one of the paper's seven; provided for downstream studies):
-///   mean over jobs of max(1, (wait + run) / max(run, tau))
-/// with the customary tau = 10 s threshold guarding against division by
-/// near-zero runtimes.
-double avg_bounded_slowdown(const sim::ScheduleResult& result, double tau = 10.0);
-
 }  // namespace reasched::metrics

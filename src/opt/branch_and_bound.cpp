@@ -20,7 +20,6 @@ constexpr std::size_t kSortCap = 256;
 
 struct Search {
   const ProblemView& problem;
-  const ObjectiveWeights& weights;
   const BnbConfig& config;
   IncrementalEvaluator eval;
   BnbResult result;
@@ -50,7 +49,7 @@ struct Search {
   std::size_t epoch = 0;
 
   Search(const ProblemView& p, const ObjectiveWeights& w, const BnbConfig& c)
-      : problem(p), weights(w), config(c), eval(p, w, c.eval) {
+      : problem(p), config(c), eval(p, w, c.eval) {
     const std::size_t n = p.n_jobs();
     now_cached = p.now();
     if (p.total_nodes() > 0) inv_nodes = 1.0 / static_cast<double>(p.total_nodes());
@@ -96,17 +95,12 @@ struct Search {
 
   /// Admissible lower bound from this prefix: max of the prefix's own
   /// makespan, the node/memory area bounds for the remaining work, and the
-  /// global critical path; plus the completion-time term.
-  double lower_bound(double prefix_makespan, double prefix_completion, double rem_node_area,
-                     double rem_mem_area, double rem_completion) const {
-    double lb_makespan = prefix_makespan;
-    lb_makespan = std::max(lb_makespan, now_cached + rem_node_area * inv_nodes);
-    if (inv_mem > 0.0) {
-      lb_makespan = std::max(lb_makespan, now_cached + rem_mem_area * inv_mem);
-    }
-    lb_makespan = std::max(lb_makespan, cp_global);
-    return weights.makespan_weight * lb_makespan +
-           weights.completion_weight * (prefix_completion + rem_completion);
+  /// global critical path. The wait term is left out: it is nonnegative, so
+  /// the bound stays admissible.
+  double lower_bound(double prefix_makespan, double rem_node_area, double rem_mem_area) const {
+    double lb = std::max(prefix_makespan, now_cached + rem_node_area * inv_nodes);
+    if (inv_mem > 0.0) lb = std::max(lb, now_cached + rem_mem_area * inv_mem);
+    return std::max(lb, cp_global);
   }
 
   /// Cheap optimistic bound for ordering the children of a node: placing i
@@ -121,7 +115,7 @@ struct Search {
     return b;
   }
 
-  void dfs(double rem_node_area, double rem_mem_area, double rem_completion) {
+  void dfs(double rem_node_area, double rem_mem_area) {
     if (result.explored >= config.max_nodes) {
       budget_exhausted = true;
       return;
@@ -143,20 +137,13 @@ struct Search {
     // decodes in full - both produce bit-identical accumulators, so the
     // bound values and hence the search tree are identical.
     double prefix_makespan;
-    double prefix_completion;
     if (config.eval.incremental) {
       eval.score(prefix);
-      const auto acc = eval.cached_accumulators();
-      prefix_makespan = acc.makespan;
-      prefix_completion = acc.completion;
+      prefix_makespan = eval.cached_accumulators().makespan;
     } else {
-      const PlannedSchedule prefix_plan = decode_subset(problem, prefix);
-      prefix_makespan = prefix_plan.makespan;
-      prefix_completion = prefix_plan.total_completion;
+      prefix_makespan = decode_subset(problem, prefix).makespan;
     }
-    if (!improves(lower_bound(prefix_makespan, prefix_completion, rem_node_area, rem_mem_area,
-                              rem_completion),
-                  result.score)) {
+    if (!improves(lower_bound(prefix_makespan, rem_node_area, rem_mem_area), result.score)) {
       ++result.pruned;
       return;
     }
@@ -234,8 +221,7 @@ struct Search {
       const std::size_t i = next.index;
       used[i] = true;
       prefix.push_back(i);
-      dfs(rem_node_area - node_area[i], rem_mem_area - mem_area[i],
-          rem_completion - completion_lb[i]);
+      dfs(rem_node_area - node_area[i], rem_mem_area - mem_area[i]);
       prefix.pop_back();
       used[i] = false;
       if (budget_exhausted) return;
@@ -263,13 +249,11 @@ BnbResult branch_and_bound(const ProblemView& problem, const ObjectiveWeights& w
 
   double all_node_area = 0.0;
   double all_mem_area = 0.0;
-  double all_completion = 0.0;
   for (std::size_t i = 0; i < problem.n_jobs(); ++i) {
     all_node_area += search.node_area[i];
     all_mem_area += search.mem_area[i];
-    all_completion += search.completion_lb[i];
   }
-  search.dfs(all_node_area, all_mem_area, all_completion);
+  search.dfs(all_node_area, all_mem_area);
   result.proven_optimal = !search.budget_exhausted;
   return result;
 }

@@ -20,8 +20,10 @@ constexpr double kBoundSlack = 1.0 - 1e-10;
 IncrementalEvaluator::IncrementalEvaluator(const ProblemView& problem,
                                            const ObjectiveWeights& weights, EvalPolicy policy)
     : problem_(&problem), weights_(weights), policy_(policy) {
-  cutoff_ok_ = weights.makespan_weight >= 0.0 && weights.completion_weight >= 0.0 &&
-               weights.wait_weight >= 0.0;
+  // Written so that NaN fails the test too.
+  if (!(weights.wait_weight >= 0.0)) {
+    throw std::invalid_argument("IncrementalEvaluator: wait_weight must be nonnegative");
+  }
   now_ = problem.now();
   total_nodes_ = problem.total_nodes();
   total_memory_ = problem.total_memory_gb();
@@ -31,7 +33,7 @@ IncrementalEvaluator::IncrementalEvaluator(const ProblemView& problem,
 
   const std::size_t n = problem.n_jobs();
   attr_.resize(n + problem.n_pinned());
-  all_ = {0.0, 0.0, 0.0, 0.0, n};
+  all_ = {0.0, 0.0, 0.0, n};
   for (std::size_t i = 0; i < n; ++i) {
     const sim::Job& job = problem.job(i);
     Attr& a = attr_[i];
@@ -44,7 +46,6 @@ IncrementalEvaluator::IncrementalEvaluator(const ProblemView& problem,
     a.completion_lb = a.release + job.duration;
     all_.node_area += a.node_area;
     all_.mem_area += a.mem_area;
-    all_.duration_sum += a.duration;
     all_.cp = std::max(all_.cp, a.completion_lb);
   }
 
@@ -55,7 +56,7 @@ IncrementalEvaluator::IncrementalEvaluator(const ProblemView& problem,
   // Initial state, replicating decode_subset's prologue exactly: subtract
   // every pinned allocation in order and push its release (push order
   // matters for equal-time pop ties, hence for float reproducibility).
-  State s0{now_, total_nodes_, total_memory_, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  State s0{now_, total_nodes_, total_memory_, 0.0, 0.0, 0.0, 0.0, 0.0};
   heap_.clear();
   for (std::size_t p = 0; p < problem.n_pinned(); ++p) {
     const Problem::Pinned pin = problem.pinned(p);
@@ -104,18 +105,15 @@ void IncrementalEvaluator::place(State& s, std::size_t j) {
   std::push_heap(heap_.begin(), heap_.end(), LaterRelease{});
   s.clock = clock;
   s.makespan = std::max(s.makespan, end);
-  s.completion += end;
   s.wait += start - a.release;
   s.placed_node_area += a.node_area;
   s.placed_mem_area += a.mem_area;
-  s.placed_duration += a.duration;
   if (a.completion_lb > s.placed_cp) s.placed_cp = a.completion_lb;
   ++stats_.steps_decoded;
 }
 
 double IncrementalEvaluator::exact_score(const State& s) const {
-  return weights_.makespan_weight * s.makespan + weights_.completion_weight * s.completion +
-         weights_.wait_weight * s.wait;
+  return s.makespan + weights_.wait_weight * s.wait;
 }
 
 double IncrementalEvaluator::lower_bound(const State& s, const Totals& t,
@@ -137,14 +135,7 @@ double IncrementalEvaluator::lower_bound(const State& s, const Totals& t,
     const double x = s.clock + (t.mem_area - s.placed_mem_area) * inv_total_memory_;
     if (x > mk) mk = x;
   }
-  double bound = weights_.makespan_weight * mk;
-  if (weights_.completion_weight > 0.0) {
-    const double rem = static_cast<double>(t.count - placed);
-    bound += weights_.completion_weight *
-             (s.completion + rem * s.clock + (t.duration_sum - s.placed_duration));
-  }
-  bound += weights_.wait_weight * s.wait;
-  bound *= kBoundSlack;
+  const double bound = (mk + weights_.wait_weight * s.wait) * kBoundSlack;
   return bound > exact ? bound : exact;
 }
 
@@ -307,7 +298,7 @@ IncrementalEvaluator::Result IncrementalEvaluator::score_with_cutoff(
     check_exact(order, cached_score_);
     return {cached_score_, true};
   }
-  const bool armed = cutoff_ok_ && order.size() == problem_->n_jobs() && cutoff < kNoCutoff;
+  const bool armed = order.size() == problem_->n_jobs() && cutoff < kNoCutoff;
 
   State s;
   std::size_t pos = load_checkpoint(std::min(d / stride_, n_checkpoints_ - 1), s);
@@ -382,10 +373,8 @@ IncrementalEvaluator::Result IncrementalEvaluator::score_insertion(std::size_t p
     return {full_oracle(materialize_insertion(pos, job_index)), true};
   }
   const Attr& ins = attr_[job_index];
-  const bool armed = cutoff_ok_ && cutoff < kNoCutoff;
-  const Totals t{final_.placed_node_area + ins.node_area,
-                 final_.placed_mem_area + ins.mem_area,
-                 final_.placed_duration + ins.duration,
+  const bool armed = cutoff < kNoCutoff;
+  const Totals t{final_.placed_node_area + ins.node_area, final_.placed_mem_area + ins.mem_area,
                  std::max(final_.placed_cp, ins.completion_lb), base_.size() + 1};
 
   State s;

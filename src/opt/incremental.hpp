@@ -64,17 +64,16 @@ struct EvalStats {
 /// PlannedSchedule (the per-candidate std::map of start times — the
 /// dominant cost of the old path).
 ///
-/// Cutoff soundness. With nonnegative weights every objective accumulator
-/// is monotone in the remaining decode, so
-///   lb = max(score-so-far, deflated optimistic-completion bound)
+/// Cutoff soundness. Makespan and summed wait only grow as the decode
+/// proceeds, and the wait weight is nonnegative (the constructor throws
+/// std::invalid_argument for a negative or NaN one), so
+///   lb = max(score-so-far, deflated optimistic-makespan bound)
 /// never exceeds the final score: the optimistic part reuses the admissible
 /// critical-path and resource-area arguments of branch_and_bound's
 /// lower_bound, anchored at the current clock, and is deflated by
 /// kBoundSlack so float rounding in the running area sums cannot push the
 /// bound past the true score. Aborting when `lb` already fails the caller's
-/// acceptance predicate therefore never changes a solver decision. With any
-/// negative weight the monotonicity argument dies and cutoffs are disabled
-/// (exact evaluation only).
+/// acceptance predicate therefore never changes a solver decision.
 ///
 /// Lifetime: borrows the ProblemView; valid while the view is.
 class IncrementalEvaluator {
@@ -136,12 +135,9 @@ class IncrementalEvaluator {
   /// here instead of re-decoding the placed prefix per node.
   struct Accumulators {
     double makespan;
-    double completion;
     double wait;
   };
-  Accumulators cached_accumulators() const {
-    return {final_.makespan, final_.completion, final_.wait};
-  }
+  Accumulators cached_accumulators() const { return {final_.makespan, final_.wait}; }
 
  private:
   /// Release-heap element. Only `time` drives the heap order; the resources
@@ -164,11 +160,9 @@ class IncrementalEvaluator {
     int free_nodes;
     double free_memory;
     double makespan;
-    double completion;
     double wait;
     double placed_node_area;
     double placed_mem_area;
-    double placed_duration;
     double placed_cp;  ///< running max of completion_lb over placed jobs
   };
   struct Checkpoint {
@@ -180,7 +174,6 @@ class IncrementalEvaluator {
   struct Totals {
     double node_area;
     double mem_area;
-    double duration_sum;
     double cp;  ///< max over the set of max(now, submit) + duration
     std::size_t count;
   };
@@ -221,7 +214,6 @@ class IncrementalEvaluator {
   const ProblemView* problem_;
   ObjectiveWeights weights_;
   EvalPolicy policy_;
-  bool cutoff_ok_;  ///< all weights nonnegative, so bounds are admissible
 
   double now_;
   int total_nodes_;

@@ -65,7 +65,6 @@ PlannedSchedule decode_subset(const ProblemView& problem, const std::vector<std:
     plan.start_times[job.id] = start;
     plan.order.push_back(job.id);
     plan.makespan = std::max(plan.makespan, end);
-    plan.total_completion += end;
     plan.total_wait += start - std::max(now, job.submit_time);
   }
   return plan;

@@ -99,9 +99,8 @@ class ProblemView {
 struct PlannedSchedule {
   std::map<sim::JobId, double> start_times;
   std::vector<sim::JobId> order;
-  double makespan = 0.0;          ///< completion of the last planned job
-  double total_completion = 0.0;  ///< sum of completion times (tie-break term)
-  double total_wait = 0.0;        ///< sum of (start - release)
+  double makespan = 0.0;    ///< completion of the last planned job
+  double total_wait = 0.0;  ///< sum of (start - release)
 
   bool contains(sim::JobId id) const { return start_times.count(id) != 0; }
 };

@@ -3,9 +3,7 @@
 namespace reasched::opt {
 
 double evaluate(const PlannedSchedule& plan, const ObjectiveWeights& weights) {
-  return weights.makespan_weight * plan.makespan +
-         weights.completion_weight * plan.total_completion +
-         weights.wait_weight * plan.total_wait;
+  return plan.makespan + weights.wait_weight * plan.total_wait;
 }
 
 }  // namespace reasched::opt

@@ -5,19 +5,20 @@
 
 namespace reasched::opt {
 
-/// Scalarized objective for the optimization baseline. The default mirrors
-/// the paper's OR-Tools configuration: *pure makespan*. Because no term
-/// penalizes completion times or wait variance, the search freely reorders
-/// and postpones individual jobs whenever that helps packing - which is
-/// exactly the paper's observed OR-Tools signature: top utilization and
-/// throughput, degraded wait/turnaround and fairness at scale.
+/// Scalarized objective for the optimization baseline: makespan plus
+/// `wait_weight` times the summed wait. The default mirrors the paper's
+/// OR-Tools configuration: *pure makespan*. Because no term penalizes wait
+/// times or wait variance, the search freely reorders and postpones
+/// individual jobs whenever that helps packing - which is exactly the
+/// paper's observed OR-Tools signature: top utilization and throughput,
+/// degraded wait/turnaround and fairness at scale.
 ///
-/// `completion_weight` / `wait_weight` > 0 are ablation knobs
-/// (the `ablation_policy_weights` row of bench/repro) showing how adding
-/// completion-time or fairness terms trades utilization away.
+/// `wait_weight` > 0 is the ablation knob (the `ablation_policy_weights`
+/// row of bench/repro) showing how a fairness term trades utilization
+/// away. It must be nonnegative: IncrementalEvaluator refuses a negative
+/// or NaN weight, since its cutoff bound rests on every term growing
+/// monotonically as the decode proceeds.
 struct ObjectiveWeights {
-  double makespan_weight = 1.0;
-  double completion_weight = 0.0;
   double wait_weight = 0.0;
 };
 

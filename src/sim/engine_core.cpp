@@ -79,7 +79,6 @@ DecisionContext EngineCore::context(double event_time) const {
                          cluster_.running_view(),
                          result_.completed,
                          events_.has_pending_arrivals() || more_arrivals_hint_,
-                         table_.size(),
                          &table_};
 }
 

@@ -41,7 +41,6 @@ struct Job {
 
   /// Node-seconds consumed, the quantity utilization integrates.
   double node_seconds() const { return static_cast<double>(nodes) * duration; }
-  double memory_gb_seconds() const { return memory_gb * duration; }
 
   std::string describe() const;
 };

@@ -83,7 +83,6 @@ class JobTable {
 
   const Job& job(JobId id) const { return jobs_[index_of(id)]; }
   JobState state(JobId id) const { return meta_[index_of(id)].state; }
-  bool is_completed(JobId id) const { return state(id) == JobState::kCompleted; }
 
   /// Arrival event fired: the job enters the waiting index when its
   /// dependencies are already satisfied, the blocked list otherwise.

@@ -161,8 +161,7 @@ void ReferenceEngine::decision_phase(RunState& rs, double now) {
                               rs.ineligible,
                               running,
                               rs.result.completed,
-                              rs.events.has_pending_arrivals(),
-                              rs.all_jobs.size()};
+                              rs.events.has_pending_arrivals()};
 
     const bool terminal_state =
         rs.waiting.empty() && rs.ineligible.empty() && !ctx.arrivals_pending;
@@ -196,8 +195,7 @@ void ReferenceEngine::decision_phase(RunState& rs, double now) {
                                       rs.ineligible,
                                       running_after,
                                       rs.result.completed,
-                                      rs.events.has_pending_arrivals(),
-                                      rs.all_jobs.size()};
+                                      rs.events.has_pending_arrivals()};
           rs.scheduler->on_accepted(action, after);
           break;
         }

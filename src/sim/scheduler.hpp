@@ -39,8 +39,6 @@ struct DecisionContext {
   CompletedListView completed;
   /// True while future arrival events exist - Stop is illegal until false.
   bool arrivals_pending = false;
-  /// Total jobs in this experiment instance.
-  std::size_t total_jobs = 0;
   /// Optional O(1) lookup backdoor set by the engine; when null (ad-hoc
   /// contexts built by tests), the find_* helpers fall back to a linear
   /// scan over the views.

@@ -21,14 +21,6 @@ double variance(const std::vector<double>& xs) {
 
 double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
 
-double min_of(const std::vector<double>& xs) {
-  return xs.empty() ? 0.0 : *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(const std::vector<double>& xs) {
-  return xs.empty() ? 0.0 : *std::max_element(xs.begin(), xs.end());
-}
-
 double sum(const std::vector<double>& xs) { return std::accumulate(xs.begin(), xs.end(), 0.0); }
 
 double quantile_sorted(const std::vector<double>& sorted_xs, double q) {
@@ -64,34 +56,10 @@ BoxStats box_stats(std::vector<double> xs) {
   const double iqr = b.q3 - b.q1;
   const double lo_fence = b.q1 - 1.5 * iqr;
   const double hi_fence = b.q3 + 1.5 * iqr;
-  b.whisker_lo = b.max;  // tightened below
-  b.whisker_hi = b.min;
   for (const double x : xs) {
-    if (x < lo_fence || x > hi_fence) {
-      b.outliers.push_back(x);
-    } else {
-      b.whisker_lo = std::min(b.whisker_lo, x);
-      b.whisker_hi = std::max(b.whisker_hi, x);
-    }
-  }
-  if (b.outliers.size() == xs.size()) {  // degenerate: everything outlying
-    b.whisker_lo = b.min;
-    b.whisker_hi = b.max;
+    if (x < lo_fence || x > hi_fence) b.outliers.push_back(x);
   }
   return b;
-}
-
-std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo, double hi,
-                                   std::size_t bins) {
-  std::vector<std::size_t> h(bins, 0);
-  if (bins == 0 || hi <= lo) return h;
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (const double x : xs) {
-    auto idx = static_cast<std::ptrdiff_t>((x - lo) / width);
-    idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(bins) - 1);
-    ++h[static_cast<std::size_t>(idx)];
-  }
-  return h;
 }
 
 double jain_index(const std::vector<double>& xs) {

@@ -10,8 +10,6 @@ namespace reasched::util {
 double mean(const std::vector<double>& xs);
 double variance(const std::vector<double>& xs);  ///< population variance; 0 if n < 2
 double stddev(const std::vector<double>& xs);
-double min_of(const std::vector<double>& xs);  ///< 0 if empty
-double max_of(const std::vector<double>& xs);  ///< 0 if empty
 double sum(const std::vector<double>& xs);
 
 /// Linear-interpolated quantile, q in [0,1]. Returns 0 on empty input.
@@ -25,20 +23,14 @@ double median(std::vector<double> xs);
 double quantile_sorted(const std::vector<double>& sorted_xs, double q);
 
 /// Five-number summary + mean, the exact statistics a box plot encodes.
-/// Whiskers use the Tukey 1.5*IQR convention; values beyond them are
-/// reported as outliers (paper Fig. 7 reads these off directly).
+/// Values beyond the Tukey 1.5*IQR fences are reported as outliers (paper
+/// Fig. 7 reads these off directly).
 struct BoxStats {
   double min = 0, q1 = 0, median = 0, q3 = 0, max = 0, mean = 0;
-  double whisker_lo = 0, whisker_hi = 0;
   std::vector<double> outliers;
   std::size_t n = 0;
 };
 BoxStats box_stats(std::vector<double> xs);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// edge bins. Used by the latency-distribution benches (Figs. 5-6).
-std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo, double hi,
-                                   std::size_t bins);
 
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2), in [1/n, 1].
 /// By convention returns 1.0 when all values are zero (perfectly equal) and

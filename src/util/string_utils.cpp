@@ -60,15 +60,6 @@ bool starts_with_icase(std::string_view s, std::string_view prefix) {
   return true;
 }
 
-bool contains_icase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  if (haystack.size() < needle.size()) return false;
-  for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    if (starts_with_icase(haystack.substr(i), needle)) return true;
-  }
-  return false;
-}
-
 std::optional<long long> parse_int(std::string_view s) {
   const std::string t = trim(s);
   if (t.empty()) return std::nullopt;

@@ -14,7 +14,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 std::vector<std::string> split_lines(std::string_view s);
 std::string to_lower(std::string_view s);
 bool starts_with_icase(std::string_view s, std::string_view prefix);
-bool contains_icase(std::string_view haystack, std::string_view needle);
 
 /// Strict integer / double parsing (whole-string), returning nullopt on any
 /// trailing garbage - the action parser depends on this strictness.

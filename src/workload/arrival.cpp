@@ -1,9 +1,5 @@
 #include "workload/arrival.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace reasched::workload {
 
 void assign_poisson_arrivals(std::vector<sim::Job>& jobs, double mean_interarrival,
@@ -17,24 +13,6 @@ void assign_poisson_arrivals(std::vector<sim::Job>& jobs, double mean_interarriv
 
 void assign_static_arrivals(std::vector<sim::Job>& jobs) {
   for (auto& job : jobs) job.submit_time = 0.0;
-}
-
-void assign_diurnal_arrivals(std::vector<sim::Job>& jobs, double base_interarrival,
-                             double day_length, double peak_factor, util::Rng& rng) {
-  if (base_interarrival <= 0.0 || day_length <= 0.0 || peak_factor < 1.0) {
-    throw std::invalid_argument("assign_diurnal_arrivals: bad parameters");
-  }
-  // Thinning-free approximation: draw each gap at the *current* intensity.
-  // intensity(t) in [1, peak_factor], peaking at t = day_length/4 (mid-day).
-  auto intensity = [&](double t) {
-    const double phase = 2.0 * M_PI * t / day_length;
-    return 1.0 + (peak_factor - 1.0) * 0.5 * (1.0 + std::sin(phase));
-  };
-  double t = 0.0;
-  for (auto& job : jobs) {
-    job.submit_time = t;
-    t += rng.exponential(base_interarrival / intensity(t));
-  }
 }
 
 void assign_bursty_arrivals(std::vector<sim::Job>& jobs, std::size_t burst_size,

@@ -22,11 +22,4 @@ void assign_static_arrivals(std::vector<sim::Job>& jobs);
 void assign_bursty_arrivals(std::vector<sim::Job>& jobs, std::size_t burst_size,
                             double within_burst, double idle_gap, util::Rng& rng);
 
-/// Non-homogeneous Poisson process with a sinusoidal day/night cycle, the
-/// dominant pattern in production submission logs: the instantaneous rate
-/// oscillates between the base rate and `peak_factor` x base over each
-/// `day_length` period (peak at mid-"day", trough at mid-"night").
-void assign_diurnal_arrivals(std::vector<sim::Job>& jobs, double base_interarrival,
-                             double day_length, double peak_factor, util::Rng& rng);
-
 }  // namespace reasched::workload

@@ -40,8 +40,7 @@ struct CtxFixture {
 
   sim::DecisionContext ctx(double now = 0.0) {
     running = cluster.running_by_end_time();
-    return sim::DecisionContext{now,    cluster,   waiting,          ineligible,
-                                running, completed, arrivals_pending, waiting.size()};
+    return {now, cluster, waiting, ineligible, running, completed, arrivals_pending};
   }
 };
 

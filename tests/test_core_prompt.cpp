@@ -85,7 +85,7 @@ TEST(PromptBuilder, PolarisClusterCapacityRendered) {
   std::vector<rs::Job> none;
   std::vector<rs::ClusterState::Allocation> running;
   std::vector<rs::CompletedJob> completed;
-  const rs::DecisionContext ctx{0.0, polaris, none, none, running, completed, false, 0};
+  const rs::DecisionContext ctx{0.0, polaris, none, none, running, completed, false};
   const rc::PromptBuilder builder{rc::AgentConfig{}};
   const std::string prompt = builder.build(ctx, "x\n");
   EXPECT_NE(prompt.find("System capacity: 560 nodes, 286720 GB memory"),

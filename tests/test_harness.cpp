@@ -26,9 +26,6 @@ TEST(Methods, PaperSetIsFiveInOrder) {
   EXPECT_EQ(methods.front(), rh::MethodSpec("fcfs"));
   EXPECT_EQ(methods.front().name, "fcfs");
   EXPECT_EQ(rh::method_label(methods[2]), "OR-Tools*");
-  EXPECT_TRUE(rh::is_llm_method(methods[3]));
-  EXPECT_TRUE(rh::is_llm_method(methods[4]));
-  EXPECT_FALSE(rh::is_llm_method("fcfs"));
 }
 
 TEST(RunMethod, OverheadOnlyForLlmMethods) {

@@ -192,6 +192,18 @@ TEST(MethodRegistry, IllTypedValuesRejected) {
       {"window", "non-negative"});
 }
 
+// An unbounded solver budget ran a single replan for hours; both evaluation
+// counts are capped at 10^6 and the largest accepted value still builds.
+TEST(MethodRegistry, SolverBudgetsAreBounded) {
+  for (const std::string key : {"budget", "ls_evals"}) {
+    const rh::MethodSpec over("opt:portfolio?" + key + "=100000000000");
+    expect_spec_error([&] { rh::make_scheduler(over, 1); },
+                      {"opt:portfolio", "parameter '" + key + "'", "must be in [0, 1000000]"});
+    const rh::MethodSpec at_bound("opt:portfolio?" + key + "=1000000");
+    EXPECT_NE(rh::make_scheduler(at_bound, 1), nullptr);
+  }
+}
+
 TEST(MethodRegistry, WindowGrammar) {
   // All four accepted forms build; `auto` expands to the documented
   // trace-scale default rather than unbounded.
@@ -209,8 +221,6 @@ TEST(MethodSpec, LabelsDistinguishVariants) {
             "Claude 3.7?window=arrival:32");
   EXPECT_EQ(rh::method_label(rh::MethodSpec("opt:portfolio?budget=500&window=sjf:16")),
             "OR-Tools*?budget=500&window=sjf:16");
-  EXPECT_TRUE(rh::is_llm_method(rh::MethodSpec("agent:fastlocal?window=auto")));
-  EXPECT_FALSE(rh::is_llm_method(rh::MethodSpec("opt:portfolio?window=auto")));
 }
 
 TEST(MethodSpec, RunMethodAcceptsSpecLiterals) {

@@ -4,8 +4,6 @@
 
 #include "harness/experiment.hpp"
 #include "metrics/gantt.hpp"
-#include "util/rng.hpp"
-#include "workload/arrival.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
@@ -91,37 +89,4 @@ TEST(WalltimeEnforcement, ExactEstimatesUnaffected) {
   auto fcfs = rh::make_scheduler("fcfs", 1);
   const auto result = engine.run(jobs, *fcfs);
   for (const auto& c : result.completed) EXPECT_FALSE(c.killed_at_walltime);
-}
-
-TEST(DiurnalArrivals, CyclesDayAndNight) {
-  std::vector<rs::Job> jobs(4000);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].id = static_cast<int>(i + 1);
-    jobs[i].duration = jobs[i].walltime = 10;
-    jobs[i].nodes = 1;
-  }
-  reasched::util::Rng rng(3);
-  const double day = 86400.0;
-  reasched::workload::assign_diurnal_arrivals(jobs, 60.0, day, 5.0, rng);
-  // Count arrivals in day-phase [0, day/2) vs night-phase [day/2, day) of
-  // the first cycle: intensity peaks mid-day, so days must be busier.
-  std::size_t day_count = 0, night_count = 0;
-  for (const auto& j : jobs) {
-    if (j.submit_time >= day) break;
-    (j.submit_time < day / 2 ? day_count : night_count)++;
-  }
-  EXPECT_GT(day_count, night_count * 2);
-  // Monotone arrival times.
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    EXPECT_GE(jobs[i].submit_time, jobs[i - 1].submit_time);
-  }
-}
-
-TEST(DiurnalArrivals, RejectsBadParameters) {
-  std::vector<rs::Job> jobs(1);
-  reasched::util::Rng rng(1);
-  EXPECT_THROW(reasched::workload::assign_diurnal_arrivals(jobs, 0.0, 100, 2, rng),
-               std::invalid_argument);
-  EXPECT_THROW(reasched::workload::assign_diurnal_arrivals(jobs, 10, 100, 0.5, rng),
-               std::invalid_argument);
 }

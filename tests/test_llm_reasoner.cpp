@@ -113,10 +113,10 @@ TEST(ScriptedClient, ResetRestartsScript) {
 
 TEST(Transcript, SuccessfulExcludesDelaysAndRejections) {
   rl::Transcript t;
-  t.add({0.0, 5.0, 100, 50, rs::ActionType::kStartJob, true});
-  t.add({1.0, 7.0, 100, 50, rs::ActionType::kDelay, true});         // delay: excluded
-  t.add({2.0, 9.0, 100, 50, rs::ActionType::kStartJob, false});     // rejected: excluded
-  t.add({3.0, 11.0, 100, 50, rs::ActionType::kBackfillJob, true});  // counted
+  t.add({5.0, 100, 50, rs::ActionType::kStartJob, true});
+  t.add({7.0, 100, 50, rs::ActionType::kDelay, true});         // delay: excluded
+  t.add({9.0, 100, 50, rs::ActionType::kStartJob, false});     // rejected: excluded
+  t.add({11.0, 100, 50, rs::ActionType::kBackfillJob, true});  // counted
   EXPECT_EQ(t.n_calls(), 4u);
   EXPECT_EQ(t.n_successful(), 2u);
   EXPECT_DOUBLE_EQ(t.total_elapsed_successful(), 16.0);
@@ -128,7 +128,7 @@ TEST(Transcript, SuccessfulExcludesDelaysAndRejections) {
 TEST(Transcript, VerdictUpdatesLastCall) {
   rl::Transcript t;
   EXPECT_THROW(t.set_last_verdict(true), std::logic_error);
-  t.add({0.0, 5.0, 100, 50, rs::ActionType::kStartJob, false});
+  t.add({5.0, 100, 50, rs::ActionType::kStartJob, false});
   t.set_last_verdict(true);
   EXPECT_EQ(t.n_successful(), 1u);
 }

@@ -109,26 +109,6 @@ TEST(Metrics, NamesUnique) {
   }
 }
 
-TEST(Metrics, BoundedSlowdown) {
-  rs::ScheduleResult r;
-  // Job 1: wait 0, run 100 -> slowdown 1. Job 2: wait 100, run 100 -> 2.
-  r.completed = {completed(1, 1, 1, 1, 0, 0, 100), completed(2, 2, 1, 1, 0, 100, 200)};
-  EXPECT_DOUBLE_EQ(rm::avg_bounded_slowdown(r), 1.5);
-}
-
-TEST(Metrics, BoundedSlowdownTauGuardsShortJobs) {
-  rs::ScheduleResult r;
-  // 1-second job that waited 100 s: raw slowdown would be 101; with the
-  // tau=10 bound it is (100+1)/10 = 10.1.
-  r.completed = {completed(1, 1, 1, 1, 0, 100, 101)};
-  EXPECT_DOUBLE_EQ(rm::avg_bounded_slowdown(r), 10.1);
-  // Zero-wait jobs floor at 1.
-  rs::ScheduleResult zero;
-  zero.completed = {completed(1, 1, 1, 1, 0, 0, 1)};
-  EXPECT_DOUBLE_EQ(rm::avg_bounded_slowdown(zero), 1.0);
-  EXPECT_DOUBLE_EQ(rm::avg_bounded_slowdown({}), 0.0);
-}
-
 TEST(Metrics, UtilizationNeverExceedsOne) {
   // Full cluster for the whole horizon = exactly 1.0.
   rs::ScheduleResult r;

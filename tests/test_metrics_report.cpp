@@ -3,6 +3,7 @@
 #include "metrics/aggregate.hpp"
 #include "metrics/normalize.hpp"
 #include "metrics/report.hpp"
+#include "util/stats.hpp"
 
 namespace rm = reasched::metrics;
 
@@ -88,7 +89,7 @@ TEST(Aggregate, BoxStatsAcrossRepetitions) {
   }
   EXPECT_EQ(agg.n_samples(), 5u);
   EXPECT_DOUBLE_EQ(agg.mean(rm::Metric::kMakespan), 100.0);
-  const auto box = agg.box(rm::Metric::kMakespan);
+  const auto box = reasched::util::box_stats(agg.values(rm::Metric::kMakespan));
   EXPECT_DOUBLE_EQ(box.median, 100.0);
   EXPECT_DOUBLE_EQ(box.min, 90.0);
   EXPECT_DOUBLE_EQ(box.max, 110.0);

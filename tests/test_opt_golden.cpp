@@ -34,7 +34,6 @@ void expect_same_plan(const ro::PlannedSchedule& got, const ro::PlannedSchedule&
   EXPECT_EQ(got.order, want.order);
   EXPECT_EQ(got.start_times, want.start_times);
   EXPECT_EQ(got.makespan, want.makespan);
-  EXPECT_EQ(got.total_completion, want.total_completion);
   EXPECT_EQ(got.total_wait, want.total_wait);
 }
 

@@ -37,7 +37,7 @@ TEST(ListScheduler, SequentialWhenJobsAreFullWidth) {
   EXPECT_DOUBLE_EQ(plan.start_times.at(1), 0.0);
   EXPECT_DOUBLE_EQ(plan.start_times.at(2), 50.0);
   EXPECT_DOUBLE_EQ(plan.makespan, 120.0);
-  EXPECT_DOUBLE_EQ(plan.total_completion, 50.0 + 120.0);
+  EXPECT_DOUBLE_EQ(plan.total_wait, 50.0);
 }
 
 TEST(ListScheduler, PacksParallelWhenPossible) {
@@ -49,12 +49,12 @@ TEST(ListScheduler, PacksParallelWhenPossible) {
 }
 
 TEST(ListScheduler, OrderMatters) {
-  // Short job first vs last changes completion profile.
+  // Short job first vs last changes the wait profile.
   const auto p = paper_problem({make_job(1, 256, 100, 100), make_job(2, 256, 100, 10)});
   const auto long_first = ro::decode_order(p, {0, 1});
   const auto short_first = ro::decode_order(p, {1, 0});
   EXPECT_DOUBLE_EQ(long_first.makespan, short_first.makespan);  // both 110
-  EXPECT_LT(short_first.total_completion, long_first.total_completion);
+  EXPECT_LT(short_first.total_wait, long_first.total_wait);  // 10 vs 100
 }
 
 TEST(ListScheduler, RespectsReleaseTimes) {

@@ -198,9 +198,7 @@ TEST(OptimizingScheduler, ResetRestoresDeterminism) {
 TEST(Objective, WeightsCompose) {
   ro::PlannedSchedule plan;
   plan.makespan = 100.0;
-  plan.total_completion = 50.0;
   plan.total_wait = 10.0;
-  EXPECT_DOUBLE_EQ(ro::evaluate(plan, {1.0, 0.0, 0.0}), 100.0);
-  EXPECT_DOUBLE_EQ(ro::evaluate(plan, {1.0, 0.1, 0.0}), 105.0);
-  EXPECT_DOUBLE_EQ(ro::evaluate(plan, {1.0, 0.0, 2.0}), 120.0);
+  EXPECT_DOUBLE_EQ(ro::evaluate(plan, {}), 100.0);  // pure makespan
+  EXPECT_DOUBLE_EQ(ro::evaluate(plan, {2.0}), 120.0);
 }

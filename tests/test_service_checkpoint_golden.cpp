@@ -180,6 +180,15 @@ TEST(ServiceCheckpointGolden, TamperedSnapshotsAreRejected) {
   ASSERT_NE(easy, std::string::npos);
   expect_refused(removed_key.replace(easy, 15, "\"method\":\"opt:portfolio?xcheck=1\""),
                  "does not accept parameter 'xcheck'");
+  // So is a solver budget above the spec bound: restoring it must not start
+  // a replan that runs for hours.
+  for (const std::string key : {"budget", "ls_evals"}) {
+    std::string over_budget = rsvc::snapshot_to_json(engine);
+    const std::size_t at = over_budget.find("\"method\":\"easy\"");
+    ASSERT_NE(at, std::string::npos);
+    over_budget.replace(at, 15, "\"method\":\"opt:portfolio?" + key + "=100000000000\"");
+    expect_refused(over_budget, "parameter '" + key + "' must be in [0, 1000000]");
+  }
 
   EXPECT_THROW(rsvc::restore_snapshot_text("{\"version\":99}"), rsvc::SnapshotError);
   EXPECT_THROW(rsvc::restore_snapshot_text("not json"), rsvc::SnapshotError);

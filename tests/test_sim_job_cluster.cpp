@@ -31,7 +31,6 @@ TEST(Job, ValidityRules) {
 TEST(Job, AreaAccessors) {
   const auto j = make_job(1, 4, 16, 100);
   EXPECT_DOUBLE_EQ(j.node_seconds(), 400.0);
-  EXPECT_DOUBLE_EQ(j.memory_gb_seconds(), 1600.0);
 }
 
 TEST(Job, ArrivalOrderTieBreaksById) {

@@ -19,8 +19,6 @@ TEST(Stats, EmptyInputsReturnZero) {
   const std::vector<double> empty;
   EXPECT_EQ(ru::mean(empty), 0.0);
   EXPECT_EQ(ru::variance(empty), 0.0);
-  EXPECT_EQ(ru::min_of(empty), 0.0);
-  EXPECT_EQ(ru::max_of(empty), 0.0);
   EXPECT_EQ(ru::quantile({}, 0.5), 0.0);
   EXPECT_EQ(ru::jain_index(empty), 0.0);
 }
@@ -92,8 +90,6 @@ TEST(Stats, BoxStatsBasics) {
   EXPECT_DOUBLE_EQ(b.q1, 3.0);
   EXPECT_DOUBLE_EQ(b.q3, 7.0);
   EXPECT_TRUE(b.outliers.empty());
-  EXPECT_DOUBLE_EQ(b.whisker_lo, 1.0);
-  EXPECT_DOUBLE_EQ(b.whisker_hi, 9.0);
 }
 
 TEST(Stats, BoxStatsDetectsOutliers) {
@@ -102,25 +98,6 @@ TEST(Stats, BoxStatsDetectsOutliers) {
   const auto b = ru::box_stats(xs);
   ASSERT_EQ(b.outliers.size(), 1u);
   EXPECT_DOUBLE_EQ(b.outliers[0], 100.0);
-  EXPECT_LT(b.whisker_hi, 100.0);
-}
-
-TEST(Stats, HistogramCountsAndClamps) {
-  const std::vector<double> xs = {-5.0, 0.1, 0.9, 1.5, 9.9, 50.0};
-  const auto h = ru::histogram(xs, 0.0, 10.0, 10);
-  ASSERT_EQ(h.size(), 10u);
-  EXPECT_EQ(h[0], 3u);  // -5 clamped in, 0.1, 0.9
-  EXPECT_EQ(h[1], 1u);  // 1.5
-  EXPECT_EQ(h[9], 2u);  // 9.9 and 50 clamped in
-  std::size_t total = 0;
-  for (const auto c : h) total += c;
-  EXPECT_EQ(total, xs.size());
-}
-
-TEST(Stats, HistogramDegenerateArgs) {
-  EXPECT_TRUE(ru::histogram({1.0}, 0.0, 1.0, 0).empty());
-  const auto h = ru::histogram({1.0}, 5.0, 1.0, 4);
-  for (const auto c : h) EXPECT_EQ(c, 0u);
 }
 
 TEST(Stats, JainIndexEqualSharesIsOne) {
@@ -171,7 +148,6 @@ TEST_P(BoxProperty, Ordered) {
   EXPECT_LE(b.q1, b.median);
   EXPECT_LE(b.median, b.q3);
   EXPECT_LE(b.q3, b.max);
-  EXPECT_LE(b.whisker_lo, b.whisker_hi);
   EXPECT_EQ(b.n, n);
 }
 

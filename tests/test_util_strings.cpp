@@ -37,9 +37,6 @@ TEST(Strings, CaseHelpers) {
   EXPECT_EQ(ru::to_lower("StartJob"), "startjob");
   EXPECT_TRUE(ru::starts_with_icase("StartJob(5)", "startjob"));
   EXPECT_FALSE(ru::starts_with_icase("Start", "startjob"));
-  EXPECT_TRUE(ru::contains_icase("the Action: Delay here", "action:"));
-  EXPECT_FALSE(ru::contains_icase("nothing", "action:"));
-  EXPECT_TRUE(ru::contains_icase("anything", ""));
 }
 
 TEST(Strings, ParseIntStrict) {
