@@ -1,6 +1,7 @@
 #include "llm/http_client.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "llm/token_counter.hpp"
@@ -85,21 +86,31 @@ std::string parse_provider_response(ProviderKind kind, const std::string& body) 
   throw std::runtime_error("unknown provider kind");
 }
 
+namespace {
+
+/// usage[key] as a token count: 0 when absent, a std::runtime_error naming
+/// the field unless it is an integer in int's range.
+int token_count(const util::JsonValue& usage, const char* key) {
+  const util::JsonValue* field = usage.find(key);
+  if (field == nullptr) return 0;
+  const std::optional<int> n = field->exact_int();
+  if (!n) {
+    throw std::runtime_error(std::string("provider usage: \"") + key +
+                             "\" must be an integer in int range");
+  }
+  return *n;
+}
+
+}  // namespace
+
 ProviderUsage parse_provider_usage(ProviderKind kind, const std::string& body) {
   const auto doc = util::parse_json(body);
   ProviderUsage usage;
   if (!doc.contains("usage")) return usage;
   const auto& u = doc.at("usage");
-  switch (kind) {
-    case ProviderKind::kAnthropic:
-      usage.prompt_tokens = static_cast<int>(u.number_or("input_tokens", 0));
-      usage.completion_tokens = static_cast<int>(u.number_or("output_tokens", 0));
-      break;
-    case ProviderKind::kOpenAi:
-      usage.prompt_tokens = static_cast<int>(u.number_or("prompt_tokens", 0));
-      usage.completion_tokens = static_cast<int>(u.number_or("completion_tokens", 0));
-      break;
-  }
+  const bool anthropic = kind == ProviderKind::kAnthropic;
+  usage.prompt_tokens = token_count(u, anthropic ? "input_tokens" : "prompt_tokens");
+  usage.completion_tokens = token_count(u, anthropic ? "output_tokens" : "completion_tokens");
   return usage;
 }
 

@@ -1,7 +1,10 @@
 #include "service/protocol.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
+#include <string_view>
 
 #include "util/string_utils.hpp"
 
@@ -9,32 +12,82 @@ namespace reasched::service {
 
 namespace {
 
-double require_number(const util::JsonValue& v, const char* key) {
-  if (!v.contains(key) || !v.at(key).is_number()) {
-    throw ProtocolError(util::format("request: missing or non-numeric field \"%s\"", key));
+/// Each op's wire name and the one key it reads besides "op" (empty when
+/// none), indexed by Request::Op.
+struct OpSchema {
+  const char* name;
+  std::string_view field;
+};
+constexpr std::array<OpSchema, 8> kOps = {{{"submit", "job"}, {"query", "id"}, {"cancel", "id"},
+                                           {"advance", "to"}, {"drain", ""}, {"checkpoint", "path"},
+                                           {"stats", ""}, {"shutdown", ""}}};
+
+/// Every key job_to_json writes; job_from_json reads no other.
+constexpr std::array<std::string_view, 9> kJobKeys = {
+    "id", "user", "group", "submit_time", "duration", "walltime", "nodes", "memory_gb",
+    "dependencies"};
+
+/// Refuse the first key of object `v` outside `accepted`, naming it and
+/// listing the accepted ones.
+void check_keys(const util::JsonValue& v, std::span<const std::string_view> accepted,
+                const char* kind, const char* name) {
+  for (const auto& entry : v.as_object()) {
+    if (std::find(accepted.begin(), accepted.end(), entry.first) != accepted.end()) continue;
+    std::string listed;
+    for (const std::string_view key : accepted) (listed += listed.empty() ? "" : ", ") += key;
+    throw ProtocolError(
+        util::format("request: %s \"%s\" does not accept key \"%s\"; accepted keys: %s", kind,
+                     name, entry.first.c_str(), listed.c_str()));
   }
-  return v.at(key).as_number();
 }
 
-/// The one reader of every integer field (ids, nodes, user, group,
-/// dependency entries): integral and within int's range, or a ProtocolError
-/// naming `field`.
-int exact_int(const util::JsonValue& v, const std::string& field) {
+/// `v[key]` as a number; nullptr when it is absent and `optional`, a
+/// ProtocolError naming `key` when it is absent otherwise or not a number.
+const util::JsonValue* number_at(const util::JsonValue& v, const char* key, bool optional) {
+  const util::JsonValue* field = v.find(key);
+  if (field == nullptr ? !optional : !field->is_number()) {
+    throw ProtocolError(util::format("missing or non-numeric field \"%s\"", key));
+  }
+  return field;
+}
+
+/// The one reader of every integer value: ids, nodes, user, group,
+/// dependency entries and snapshot config counts.
+int exact_int(const util::JsonValue& v, const std::string& field,
+              int min = std::numeric_limits<int>::min()) {
   const std::optional<int> n = v.exact_int();
-  if (!n) {
-    throw ProtocolError(util::format("request: field \"%s\" must be an integer in [%d, %d]",
-                                     field.c_str(), std::numeric_limits<int>::min(),
-                                     std::numeric_limits<int>::max()));
+  if (!n || *n < min) {
+    throw ProtocolError(util::format("field \"%s\" must be an integer in [%d, %d]",
+                                     field.c_str(), min, std::numeric_limits<int>::max()));
   }
   return *n;
 }
 
-int int_from(const util::JsonValue& v, const char* key) {
-  require_number(v, key);
-  return exact_int(v.at(key), key);
+double number_or(const util::JsonValue& v, const char* key, double fallback) {
+  const util::JsonValue* field = number_at(v, key, true);
+  return field != nullptr ? field->as_number() : fallback;
+}
+
+int int_or(const util::JsonValue& v, const char* key, int fallback) {
+  const util::JsonValue* field = v.find(key);
+  return field != nullptr ? exact_int(*field, key) : fallback;
 }
 
 }  // namespace
+
+const char* to_string(Request::Op op) { return kOps.at(static_cast<std::size_t>(op)).name; }
+
+double number_field(const util::JsonValue& v, const char* key) {
+  return number_at(v, key, false)->as_number();
+}
+
+int int_field(const util::JsonValue& v, const char* key, int min) {
+  return exact_int(*number_at(v, key, false), key, min);
+}
+
+std::string digest_hex(std::uint64_t digest) {
+  return util::format("%016llx", static_cast<unsigned long long>(digest));
+}
 
 void job_to_json(util::JsonWriter& w, const sim::Job& job) {
   w.begin_object();
@@ -54,26 +107,63 @@ void job_to_json(util::JsonWriter& w, const sim::Job& job) {
 
 sim::Job job_from_json(const util::JsonValue& v) {
   if (!v.is_object()) throw ProtocolError("request: \"job\" must be an object");
+  check_keys(v, kJobKeys, "object", "job");
   sim::Job job;
-  job.duration = require_number(v, "duration");
-  job.walltime = v.number_or("walltime", job.duration);
-  job.nodes = int_from(v, "nodes");
-  job.memory_gb = v.number_or("memory_gb", 1.0);
-  job.submit_time = v.number_or("submit_time", 0.0);
-  if (v.contains("id")) job.id = int_from(v, "id");
-  if (v.contains("user")) job.user = int_from(v, "user");
-  if (v.contains("group")) job.group = int_from(v, "group");
-  if (v.contains("dependencies")) {
-    const util::JsonValue& deps = v.at("dependencies");
-    if (!deps.is_array()) throw ProtocolError("request: \"dependencies\" must be an array");
-    for (std::size_t i = 0; i < deps.size(); ++i) {
-      if (!deps.at(i).is_number()) {
-        throw ProtocolError("request: \"dependencies\" entries must be job ids");
-      }
-      job.dependencies.push_back(exact_int(deps.at(i), util::format("dependencies[%zu]", i)));
+  job.duration = number_field(v, "duration");
+  job.walltime = number_or(v, "walltime", job.duration);
+  job.nodes = int_field(v, "nodes");
+  job.memory_gb = number_or(v, "memory_gb", 1.0);
+  job.submit_time = number_or(v, "submit_time", 0.0);
+  job.id = int_or(v, "id", 0);
+  job.user = int_or(v, "user", 0);
+  job.group = int_or(v, "group", 0);
+  if (const util::JsonValue* deps = v.find("dependencies")) {
+    if (!deps->is_array()) throw ProtocolError("request: \"dependencies\" must be an array");
+    for (std::size_t i = 0; i < deps->size(); ++i) {
+      job.dependencies.push_back(exact_int(deps->at(i), util::format("dependencies[%zu]", i)));
     }
   }
   return job;
+}
+
+Request parse_request(const util::JsonValue& doc) {
+  if (!doc.is_object()) throw ProtocolError("request: expected a JSON object");
+  const util::JsonValue* name = doc.find("op");
+  if (name == nullptr || !name->is_string()) {
+    throw ProtocolError("request: missing string field \"op\"");
+  }
+  const auto schema = std::find_if(kOps.begin(), kOps.end(), [&](const OpSchema& s) {
+    return name->as_string() == s.name;
+  });
+  if (schema == kOps.end()) {
+    throw ProtocolError(util::format(
+        "request: unknown op \"%s\" (submit|query|cancel|advance|drain|checkpoint|stats|shutdown)",
+        name->as_string().c_str()));
+  }
+  const std::string_view keys[] = {"op", schema->field};
+  check_keys(doc, std::span(keys).first(schema->field.empty() ? 1 : 2), "op", schema->name);
+  Request req;
+  req.op = static_cast<Request::Op>(schema - kOps.begin());
+  switch (req.op) {
+    case Request::Op::kSubmit:
+      if (!doc.contains("job")) throw ProtocolError("request: submit needs a \"job\" object");
+      req.job = job_from_json(doc.at("job"));
+      break;
+    case Request::Op::kQuery:
+      req.has_id = doc.contains("id");
+      req.id = int_or(doc, "id", 0);
+      break;
+    case Request::Op::kCancel: req.id = int_field(doc, "id"); break;
+    case Request::Op::kAdvance: req.to = number_field(doc, "to"); break;
+    case Request::Op::kCheckpoint:
+      if (!doc.contains("path") || !doc.at("path").is_string()) {
+        throw ProtocolError("request: checkpoint needs a string \"path\"");
+      }
+      req.path = doc.at("path").as_string();
+      break;
+    default: break;
+  }
+  return req;
 }
 
 Request parse_request(const std::string& line) {
@@ -83,46 +173,22 @@ Request parse_request(const std::string& line) {
   } catch (const std::exception& e) {
     throw ProtocolError(util::format("request: invalid JSON (%s)", e.what()));
   }
-  if (!doc.is_object()) throw ProtocolError("request: expected a JSON object");
-  if (!doc.contains("op") || !doc.at("op").is_string()) {
-    throw ProtocolError("request: missing string field \"op\"");
+  return parse_request(doc);
+}
+
+void request_to_json(util::JsonWriter& w, const Request& request) {
+  w.begin_object().kv("op", to_string(request.op));
+  switch (request.op) {
+    case Request::Op::kSubmit: job_to_json(w.key("job"), request.job); break;
+    case Request::Op::kQuery:
+      if (request.has_id) w.kv("id", request.id);
+      break;
+    case Request::Op::kCancel: w.kv("id", request.id); break;
+    case Request::Op::kAdvance: w.kv_exact("to", request.to); break;
+    case Request::Op::kCheckpoint: w.kv("path", request.path); break;
+    default: break;
   }
-  const std::string& op = doc.at("op").as_string();
-  Request req;
-  if (op == "submit") {
-    req.op = Request::Op::kSubmit;
-    if (!doc.contains("job")) throw ProtocolError("request: submit needs a \"job\" object");
-    req.job = job_from_json(doc.at("job"));
-  } else if (op == "query") {
-    req.op = Request::Op::kQuery;
-    if (doc.contains("id")) {
-      req.has_id = true;
-      req.id = int_from(doc, "id");
-    }
-  } else if (op == "cancel") {
-    req.op = Request::Op::kCancel;
-    req.id = int_from(doc, "id");
-  } else if (op == "advance") {
-    req.op = Request::Op::kAdvance;
-    req.to = require_number(doc, "to");
-  } else if (op == "drain") {
-    req.op = Request::Op::kDrain;
-  } else if (op == "checkpoint") {
-    req.op = Request::Op::kCheckpoint;
-    if (!doc.contains("path") || !doc.at("path").is_string()) {
-      throw ProtocolError("request: checkpoint needs a string \"path\"");
-    }
-    req.path = doc.at("path").as_string();
-  } else if (op == "stats") {
-    req.op = Request::Op::kStats;
-  } else if (op == "shutdown") {
-    req.op = Request::Op::kShutdown;
-  } else {
-    throw ProtocolError(util::format(
-        "request: unknown op \"%s\" (submit|query|cancel|advance|drain|checkpoint|stats|shutdown)",
-        op.c_str()));
-  }
-  return req;
+  w.end_object();
 }
 
 namespace {
@@ -200,7 +266,7 @@ std::string render_drain(const DrainResult& result) {
 std::string render_checkpoint(const std::string& path, std::uint64_t digest) {
   util::JsonWriter w;
   w.begin_object().kv("ok", true).kv("op", "checkpoint").kv("path", path);
-  w.kv("digest", util::format("%016llx", static_cast<unsigned long long>(digest)));
+  w.kv("digest", digest_hex(digest));
   w.end_object();
   return w.str();
 }

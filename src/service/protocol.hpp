@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,25 +39,29 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct Request {
-  enum class Op { kSubmit, kQuery, kCancel, kAdvance, kDrain, kCheckpoint, kStats, kShutdown };
-  Op op = Op::kQuery;
-  sim::Job job;          ///< kSubmit
-  bool has_id = false;   ///< kQuery: id present?
-  sim::JobId id = 0;     ///< kQuery / kCancel
-  double to = 0.0;       ///< kAdvance
-  std::string path;      ///< kCheckpoint
-};
-
-/// Parse one request line; throws ProtocolError naming what is wrong.
+/// The op codec of request lines and snapshot op logs alike. Each op takes
+/// only its own keys (submit: job, query/cancel: id, advance: to,
+/// checkpoint: path); an unknown op or key, or a missing or ill-typed field,
+/// throws a ProtocolError naming it.
+Request parse_request(const util::JsonValue& doc);
 Request parse_request(const std::string& line);
+void request_to_json(util::JsonWriter& w, const Request& request);
 
-/// Job JSON codec shared by the protocol and the snapshot format. Emits
-/// every field with round-trip-exact doubles; parsing fills defaults
-/// (id 0 = assign, walltime = duration) and throws ProtocolError on
-/// missing/ill-typed required fields (duration, nodes).
+/// Job JSON codec. Emits every field with round-trip-exact doubles; parsing
+/// reads only those keys, fills defaults (id 0 = assign, walltime =
+/// duration) and throws ProtocolError on unknown keys and on missing
+/// (duration, nodes) or ill-typed fields.
 void job_to_json(util::JsonWriter& w, const sim::Job& job);
 sim::Job job_from_json(const util::JsonValue& v);
+
+/// `v[key]` as a number, or as an integer in [min, INT_MAX] (checked before
+/// any cast); a ProtocolError naming `key` otherwise.
+double number_field(const util::JsonValue& v, const char* key);
+int int_field(const util::JsonValue& v, const char* key,
+              int min = std::numeric_limits<int>::min());
+
+/// A state digest as 16 hex digits.
+std::string digest_hex(std::uint64_t digest);
 
 /// Response renderers - each returns one complete JSON line (no newline).
 std::string render_submit(sim::JobId id);

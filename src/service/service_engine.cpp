@@ -129,10 +129,7 @@ sim::JobId ServiceEngine::submit(sim::Job job) {
   }
   next_id_ = std::max(next_id_, job.id + 1);
   buffered_ids_.emplace(job.id, job.submit_time);
-  ServiceOp op;
-  op.kind = ServiceOp::Kind::kSubmit;
-  op.job = job;
-  ops_.push_back(op);
+  ops_.push_back(Request{.op = Request::Op::kSubmit, .job = job});
   const sim::JobId id = job.id;
   buffer_.emplace(key, std::move(job));
   return id;
@@ -177,10 +174,7 @@ std::vector<sim::JobId> ServiceEngine::cancel(sim::JobId id) {
     cancelled_ids_.insert(c);
     cancelled_log_.push_back(c);
   }
-  ServiceOp op;
-  op.kind = ServiceOp::Kind::kCancel;
-  op.id = id;
-  ops_.push_back(op);
+  ops_.push_back(Request{.op = Request::Op::kCancel, .id = id});
   return cancelled;
 }
 
@@ -232,10 +226,7 @@ void ServiceEngine::advance_to(double t) {
   while (core_->has_events() && core_->next_event_time() <= t) {
     core_->step();
   }
-  ServiceOp op;
-  op.kind = ServiceOp::Kind::kAdvance;
-  op.to = t;
-  ops_.push_back(op);
+  ops_.push_back(Request{.op = Request::Op::kAdvance, .to = t});
   emit_runlog_rows(core_->result());
 }
 
@@ -265,18 +256,20 @@ DrainResult ServiceEngine::drain() {
   }
   pump_stream(kInf);
   flush_buffer(kInf);
-  ServiceOp op;
-  op.kind = ServiceOp::Kind::kDrain;
-  ops_.push_back(op);
+  ops_.push_back(Request{.op = Request::Op::kDrain});
   return finish_drain();
 }
 
-void ServiceEngine::apply(const ServiceOp& op) {
-  switch (op.kind) {
-    case ServiceOp::Kind::kSubmit: submit(op.job); break;
-    case ServiceOp::Kind::kCancel: cancel(op.id); break;
-    case ServiceOp::Kind::kAdvance: advance_to(op.to); break;
-    case ServiceOp::Kind::kDrain: drain(); break;
+void ServiceEngine::apply(const Request& op) {
+  switch (op.op) {
+    case Request::Op::kSubmit: submit(op.job); return;
+    case Request::Op::kCancel: cancel(op.id); return;
+    case Request::Op::kAdvance: advance_to(op.to); return;
+    case Request::Op::kDrain: drain(); return;
+    default:
+      throw std::invalid_argument(util::format(
+          "ServiceEngine: op \"%s\" is not a logged op (submit|cancel|advance|drain)",
+          to_string(op.op)));
   }
 }
 

@@ -32,18 +32,24 @@ struct ServiceConfig {
   workload::StreamSpec stream;
 };
 
-/// One logged client operation. The op log is the mutable half of a
-/// checkpoint: replaying it against a fresh ServiceEngine built from the
+/// One RJMS request (codec: service/protocol.hpp). The session logs its
+/// submits, cancels, advances and drains; that op log is the mutable half of
+/// a checkpoint: replaying it against a fresh ServiceEngine built from the
 /// same ServiceConfig reproduces the session bit-for-bit (every component -
 /// engine, schedulers, solvers, generators - is deterministic, which the
 /// determinism lint enforces statically).
-struct ServiceOp {
-  enum class Kind { kSubmit, kCancel, kAdvance, kDrain };
-  Kind kind = Kind::kSubmit;
-  sim::Job job;       ///< kSubmit (post-normalization: id assigned)
-  sim::JobId id = 0;  ///< kCancel
-  double to = 0.0;    ///< kAdvance
+struct Request {
+  enum class Op { kSubmit, kQuery, kCancel, kAdvance, kDrain, kCheckpoint, kStats, kShutdown };
+  Op op = Op::kQuery;
+  bool has_id = false;  ///< kQuery: id present?
+  sim::JobId id = 0;    ///< kQuery / kCancel
+  double to = 0.0;      ///< kAdvance
+  sim::Job job{};       ///< kSubmit (logged post-normalization: id assigned)
+  std::string path{};   ///< kCheckpoint
 };
+
+/// The op's wire name ("submit", ...); defined with the codec, protocol.cpp.
+const char* to_string(Request::Op op);
 
 /// Aggregate session counters for `query` responses and smoke checks.
 struct ServiceStatus {
@@ -114,8 +120,9 @@ class ServiceEngine {
   /// endless streams (max_batches == 0). The session becomes kDrained.
   DrainResult drain();
 
-  /// Re-apply one logged operation (snapshot restore path).
-  void apply(const ServiceOp& op);
+  /// Re-apply one logged operation (snapshot restore path): submit, cancel,
+  /// advance or drain. Throws std::invalid_argument naming any other op.
+  void apply(const Request& op);
 
   ServiceStatus status() const;
   /// Lifecycle of a job the service knows; throws for unknown ids.
@@ -125,7 +132,7 @@ class ServiceEngine {
   double clock() const { return clock_; }
   bool drained() const { return drained_; }
   const ServiceConfig& config() const { return config_; }
-  const std::vector<ServiceOp>& ops() const { return ops_; }
+  const std::vector<Request>& ops() const { return ops_; }
   const sim::EngineCore& core() const { return *core_; }
   const sim::Scheduler& scheduler() const { return *scheduler_; }
   /// The cluster the engine actually runs (stream `cluster?...` overrides
@@ -186,7 +193,7 @@ class ServiceEngine {
   std::vector<sim::JobId> cancelled_log_;
   std::pair<double, sim::JobId> admit_watermark_{-1.0, 0};
 
-  std::vector<ServiceOp> ops_;
+  std::vector<Request> ops_;
   std::optional<DrainResult> outcome_;
   double clock_ = 0.0;
   sim::JobId next_id_ = 1;

@@ -1,8 +1,6 @@
 #include "service/snapshot.hpp"
 
 #include <fstream>
-#include <limits>
-#include <optional>
 #include <sstream>
 
 #include "service/protocol.hpp"
@@ -12,45 +10,7 @@
 
 namespace reasched::service {
 
-namespace {
-
 constexpr int kSnapshotVersion = 1;
-
-const char* op_name(ServiceOp::Kind kind) {
-  switch (kind) {
-    case ServiceOp::Kind::kSubmit: return "submit";
-    case ServiceOp::Kind::kCancel: return "cancel";
-    case ServiceOp::Kind::kAdvance: return "advance";
-    case ServiceOp::Kind::kDrain: return "drain";
-  }
-  return "?";  // unreachable
-}
-
-std::string digest_hex(std::uint64_t digest) {
-  return util::format("%016llx", static_cast<unsigned long long>(digest));
-}
-
-double exact_number(const util::JsonValue& v, const char* key) {
-  if (!v.contains(key) || !v.at(key).is_number()) {
-    throw SnapshotError(util::format("snapshot: missing numeric field \"%s\"", key));
-  }
-  return v.at(key).as_number();
-}
-
-/// Every integer field: integral, at least `min` and within int's range.
-/// The range check comes before any cast - casting an out-of-range double
-/// is undefined behaviour.
-int exact_int(const util::JsonValue& v, const char* key,
-              int min = std::numeric_limits<int>::min()) {
-  const std::optional<int> n = v.contains(key) ? v.at(key).exact_int() : std::nullopt;
-  if (!n || *n < min) {
-    throw SnapshotError(util::format("snapshot: field \"%s\" must be an integer in [%d, %d]",
-                                     key, min, std::numeric_limits<int>::max()));
-  }
-  return *n;
-}
-
-}  // namespace
 
 std::string snapshot_to_json(const ServiceEngine& engine) {
   const ServiceConfig& config = engine.config();
@@ -82,20 +42,7 @@ std::string snapshot_to_json(const ServiceEngine& engine) {
   w.end_object();
 
   w.key("ops").begin_array();
-  for (const ServiceOp& op : engine.ops()) {
-    w.begin_object();
-    w.kv("op", op_name(op.kind));
-    switch (op.kind) {
-      case ServiceOp::Kind::kSubmit:
-        w.key("job");
-        job_to_json(w, op.job);
-        break;
-      case ServiceOp::Kind::kCancel: w.kv("id", op.id); break;
-      case ServiceOp::Kind::kAdvance: w.kv_exact("to", op.to); break;
-      case ServiceOp::Kind::kDrain: break;
-    }
-    w.end_object();
-  }
+  for (const Request& op : engine.ops()) request_to_json(w, op);
   w.end_array();
 
   w.kv("digest", digest_hex(engine.state_digest()));
@@ -118,9 +65,9 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
     throw SnapshotError(util::format("snapshot: invalid JSON (%s)", e.what()));
   }
   if (!doc.is_object()) throw SnapshotError("snapshot: expected a JSON object");
-  const double version = exact_number(doc, "version");
-  if (version != kSnapshotVersion) {
-    throw SnapshotError(util::format("snapshot: unsupported version %g", version));
+  if (!doc.contains("version") || doc.at("version").exact_int() != kSnapshotVersion) {
+    throw SnapshotError(
+        util::format("snapshot: unsupported version (this build reads %d)", kSnapshotVersion));
   }
   if (!doc.contains("config") || !doc.at("config").is_object()) {
     throw SnapshotError("snapshot: missing \"config\" object");
@@ -133,27 +80,25 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
     config.method = harness::MethodSpec::parse(cfg.at("method").as_string());
     config.seed = std::stoull(cfg.at("seed").as_string());
     const util::JsonValue& eng = cfg.at("engine");
-    config.engine.max_invalid_retries = exact_int(eng, "max_invalid_retries");
+    config.engine.max_invalid_retries = int_field(eng, "max_invalid_retries");
     config.engine.feedback_enabled = eng.at("feedback_enabled").as_bool();
     config.engine.record_traces = eng.at("record_traces").as_bool();
     config.engine.enforce_walltime = eng.at("enforce_walltime").as_bool();
     const util::JsonValue& cluster = eng.at("cluster");
-    config.engine.cluster.total_nodes = exact_int(cluster, "total_nodes");
-    config.engine.cluster.total_memory_gb = exact_number(cluster, "total_memory_gb");
-    config.engine.cluster.watts_per_busy_node = exact_number(cluster, "watts_per_busy_node");
-    config.engine.cluster.watts_per_idle_node = exact_number(cluster, "watts_per_idle_node");
+    config.engine.cluster.total_nodes = int_field(cluster, "total_nodes");
+    config.engine.cluster.total_memory_gb = number_field(cluster, "total_memory_gb");
+    config.engine.cluster.watts_per_busy_node = number_field(cluster, "watts_per_busy_node");
+    config.engine.cluster.watts_per_idle_node = number_field(cluster, "watts_per_idle_node");
     const util::JsonValue& stream = cfg.at("stream");
-    const int batch_jobs = exact_int(stream, "batch_jobs", 0);
+    const int batch_jobs = int_field(stream, "batch_jobs", 0);
     if (batch_jobs > 0) {
       config.stream = workload::make_stream_spec(
           stream.at("scenario").as_string(), static_cast<std::size_t>(batch_jobs),
-          static_cast<std::size_t>(exact_int(stream, "max_batches", 0)),
-          exact_number(stream, "rate_scale"));
+          static_cast<std::size_t>(int_field(stream, "max_batches", 0)),
+          number_field(stream, "rate_scale"));
     }
     // Building the engine builds the scheduler, which checks the method spec.
     engine = std::make_unique<ServiceEngine>(config);
-  } catch (const SnapshotError&) {
-    throw;
   } catch (const std::exception& e) {
     throw SnapshotError(util::format("snapshot: bad config (%s)", e.what()));
   }
@@ -163,27 +108,8 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
   }
   const util::JsonValue::Array& ops = doc.at("ops").as_array();
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const util::JsonValue& entry = ops[i];
-    ServiceOp op;
     try {
-      const std::string& kind = entry.at("op").as_string();
-      if (kind == "submit") {
-        op.kind = ServiceOp::Kind::kSubmit;
-        op.job = job_from_json(entry.at("job"));
-      } else if (kind == "cancel") {
-        op.kind = ServiceOp::Kind::kCancel;
-        op.id = exact_int(entry, "id");
-      } else if (kind == "advance") {
-        op.kind = ServiceOp::Kind::kAdvance;
-        op.to = exact_number(entry, "to");
-      } else if (kind == "drain") {
-        op.kind = ServiceOp::Kind::kDrain;
-      } else {
-        throw SnapshotError(util::format("snapshot: unknown op \"%s\"", kind.c_str()));
-      }
-      engine->apply(op);
-    } catch (const SnapshotError&) {
-      throw;
+      engine->apply(parse_request(ops[i]));
     } catch (const std::exception& e) {
       throw SnapshotError(
           util::format("snapshot: replay of op %zu failed (%s)", i, e.what()));

@@ -117,7 +117,6 @@ std::vector<JobId> EngineCore::cancel(JobId id) {
     // Tombstone queued arrivals; ids whose arrival already fired never come
     // up again, so a stale tombstone is only consumed, never acted on.
     arrival_tombstones_.insert(cancelled_id);
-    cancelled_.emplace_back(now_, cancelled_id);
   }
   return ids;
 }

@@ -85,8 +85,6 @@ class EngineCore {
   const ClusterState& cluster() const { return cluster_; }
   const EventQueue& events() const { return events_; }
   const ScheduleResult& result() const { return result_; }
-  /// (time, id) pairs of every cancellation, in application order.
-  const std::vector<std::pair<double, JobId>>& cancelled() const { return cancelled_; }
 
   /// Finish a drained run: assert nothing schedulable was left behind, sort
   /// completed records by job id (the batch contract) and move the result
@@ -131,7 +129,6 @@ class EngineCore {
   EventQueue events_;
   JobTable table_;
   ScheduleResult result_;
-  std::vector<std::pair<double, JobId>> cancelled_;
   /// Ids whose queued arrival events must be skipped (cancelled while
   /// pending). Ordered set: deterministic and iteration-safe under the
   /// unordered-container lint rule.

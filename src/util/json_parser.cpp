@@ -42,8 +42,11 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return it->second;
 }
 
-bool JsonValue::contains(const std::string& key) const {
-  return is_object() && as_object().count(key) != 0;
+const JsonValue* JsonValue::find(const std::string& key) const {
+  if (!is_object()) return nullptr;
+  const auto& obj = std::get<Object>(value_);
+  const auto it = obj.find(key);
+  return it == obj.end() ? nullptr : &it->second;
 }
 
 const JsonValue& JsonValue::at(std::size_t index) const {
@@ -61,15 +64,8 @@ std::size_t JsonValue::size() const {
 bool JsonValue::empty() const { return size() == 0; }
 
 std::string JsonValue::string_or(const std::string& key, const std::string& fallback) const {
-  if (!contains(key)) return fallback;
-  const auto& v = at(key);
-  return v.is_string() ? v.as_string() : fallback;
-}
-
-double JsonValue::number_or(const std::string& key, double fallback) const {
-  if (!contains(key)) return fallback;
-  const auto& v = at(key);
-  return v.is_number() ? v.as_number() : fallback;
+  const JsonValue* v = find(key);
+  return v != nullptr && v->is_string() ? v->as_string() : fallback;
 }
 
 std::optional<int> JsonValue::exact_int() const {

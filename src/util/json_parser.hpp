@@ -45,7 +45,10 @@ class JsonValue {
 
   /// Object field access; throws on non-objects / missing keys.
   const JsonValue& at(const std::string& key) const;
-  bool contains(const std::string& key) const;
+  bool contains(const std::string& key) const { return find(key) != nullptr; }
+  /// Object field lookup without throwing: nullptr on non-objects and
+  /// missing keys.
+  const JsonValue* find(const std::string& key) const;
   /// Array element access; throws on non-arrays / out of range.
   const JsonValue& at(std::size_t index) const;
   std::size_t size() const;
@@ -56,7 +59,6 @@ class JsonValue {
   /// Lookup with fallback: returns `fallback` when the path is absent or of
   /// the wrong type (never throws). Convenient for optional provider fields.
   std::string string_or(const std::string& key, const std::string& fallback) const;
-  double number_or(const std::string& key, double fallback) const;
 
   /// The number as an int when it is integral and within int's range;
   /// nullopt otherwise (non-numbers included). Casting an out-of-range

@@ -1,6 +1,7 @@
 #include "util/string_utils.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -76,7 +77,8 @@ std::optional<double> parse_double(std::string_view s) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(t.c_str(), &end);
-  if (errno != 0 || end != t.c_str() + t.size()) return std::nullopt;
+  // ERANGE flags underflow too; only an overflow (HUGE_VAL) is refused.
+  if ((errno != 0 && std::isinf(v)) || end != t.c_str() + t.size()) return std::nullopt;
   return v;
 }
 

@@ -16,7 +16,9 @@ std::string to_lower(std::string_view s);
 bool starts_with_icase(std::string_view s, std::string_view prefix);
 
 /// Strict integer / double parsing (whole-string), returning nullopt on any
-/// trailing garbage - the action parser depends on this strictness.
+/// trailing garbage - the action parser depends on this strictness - and on
+/// out-of-range values. A double that underflows to a subnormal or zero is
+/// in range; one that overflows is not.
 std::optional<long long> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
 

@@ -89,6 +89,32 @@ TEST(ProviderResponse, MissingUsageIsZero) {
   EXPECT_EQ(usage.completion_tokens, 0);
 }
 
+TEST(ProviderResponse, TokenCountsMustBeIntsInRange) {
+  // Casting 1e300 to int is undefined behaviour, so each bad count is
+  // refused by name.
+  const auto expect_refused = [](rl::ProviderKind kind, const std::string& body,
+                                 const std::string& field) {
+    try {
+      rl::parse_provider_usage(kind, body);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  expect_refused(rl::ProviderKind::kAnthropic, R"({"usage":{"input_tokens":1e300}})",
+                 "input_tokens");
+  expect_refused(rl::ProviderKind::kAnthropic,
+                 R"({"usage":{"input_tokens":3,"output_tokens":2.5}})", "output_tokens");
+  expect_refused(rl::ProviderKind::kOpenAi, R"({"usage":{"prompt_tokens":"12"}})",
+                 "prompt_tokens");
+  expect_refused(rl::ProviderKind::kOpenAi, R"({"usage":{"completion_tokens":-1e300}})",
+                 "completion_tokens");
+  const auto usage =
+      rl::parse_provider_usage(rl::ProviderKind::kOpenAi, R"({"usage":{"prompt_tokens":7}})");
+  EXPECT_EQ(usage.prompt_tokens, 7);
+  EXPECT_EQ(usage.completion_tokens, 0);
+}
+
 TEST(HttpClient, EndToEndWithMockTransport) {
   // Canned Anthropic-shaped response; records the exchange for inspection.
   rl::HttpExchange seen;

@@ -49,7 +49,7 @@ rs::Job client_job(double submit, double duration, int nodes) {
 
 // The scripted client: interleaves external submissions and a cancel with
 // clock advances that pull stream arrivals in. Returns the logged ops.
-std::vector<rsvc::ServiceOp> drive_reference(rsvc::ServiceEngine& engine) {
+std::vector<rsvc::Request> drive_reference(rsvc::ServiceEngine& engine) {
   engine.advance_to(10.0);
   const rs::JobId a = engine.submit(client_job(20.0, 300.0, 8));
   engine.advance_to(50.0);
@@ -111,7 +111,7 @@ void expect_same_metrics(const rm::MetricSet& a, const rm::MetricSet& b) {
 TEST(ServiceCheckpointGolden, EveryPrefixRestoresBitIdentically) {
   // Reference: the full session, uninterrupted, with per-prefix digests.
   rsvc::ServiceEngine reference(session_config());
-  const std::vector<rsvc::ServiceOp> ops = drive_reference(reference);
+  const std::vector<rsvc::Request> ops = drive_reference(reference);
   ASSERT_GE(ops.size(), 8u);
 
   std::vector<std::uint64_t> digest_at(ops.size() + 1);
@@ -225,7 +225,29 @@ TEST(ServiceCheckpointGolden, UnknownOpIsRefused) {
   ASSERT_NE(ops, std::string::npos);
   std::string snapshot = empty;
   snapshot.replace(ops, 8, "\"ops\":[{\"op\":\"replay\",\"jobs\":[]}]");
-  expect_refused(snapshot, "snapshot: unknown op \"replay\"");
+  expect_refused(snapshot, "snapshot: replay of op 0 failed (request: unknown op \"replay\"");
+}
+
+TEST(ServiceCheckpointGolden, OpLogIsReadByTheRequestCodec) {
+  rsvc::ServiceEngine engine(session_config());
+  drive_reference(engine);
+  const std::string snapshot = rsvc::snapshot_to_json(engine);
+
+  // Only submit/cancel/advance/drain change state; any other request in the
+  // op log is refused by name rather than replayed.
+  std::string stats = snapshot;
+  const std::size_t ops = stats.find("\"ops\":[");
+  ASSERT_NE(ops, std::string::npos);
+  stats.insert(ops + 7, "{\"op\":\"stats\"},");
+  expect_refused(stats, "replay of op 0 failed (ServiceEngine: op \"stats\" is not a logged op");
+
+  // The job codec's strict keys hold in a snapshot too: a misspelt
+  // dependency list is not silently dropped.
+  std::string deps = snapshot;
+  const std::size_t job = deps.find("\"dependencies\":[]");
+  ASSERT_NE(job, std::string::npos);
+  deps.insert(job, "\"deps\":[1],");
+  expect_refused(deps, "does not accept key \"deps\"");
 }
 
 TEST(ServiceCheckpointGolden, DrainedSessionCheckpointsAndRestores) {

@@ -229,7 +229,7 @@ TEST(ServiceEngine, OpLogReplayReproducesTheSession) {
   original.advance_to(200.0);
 
   rsvc::ServiceEngine rebuilt(fcfs_config(33));
-  for (const rsvc::ServiceOp& op : original.ops()) rebuilt.apply(op);
+  for (const rsvc::Request& op : original.ops()) rebuilt.apply(op);
   EXPECT_EQ(rebuilt.state_digest(), original.state_digest());
 
   // The rebuilt session continues exactly like the original.

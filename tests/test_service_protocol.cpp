@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "service/protocol.hpp"
 #include "service/service_engine.hpp"
+#include "service/session.hpp"
 #include "service/snapshot.hpp"
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
@@ -193,4 +197,90 @@ TEST(ServiceProtocol, ExactDoubleFormattingRoundTrips) {
     const std::string s = ru::format_double_exact(v);
     EXPECT_EQ(std::stod(s), v) << s;
   }
+}
+
+TEST(ServiceProtocol, UnknownKeysAreRefusedByName) {
+  // Dropping any of these would run the request on a default: a job with
+  // no dependency or walltime limit, the global status, an advance to 10.
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"deps":[99]}})", "deps");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"wallclock":30}})",
+                 "wallclock");
+  expect_refused(R"({"op":"query","idd":7})", "idd");
+  expect_refused(R"({"op":"advance","too":50,"to":10})", "too");
+  expect_refused(R"({"op":"drain","force":true})", "force");
+  expect_refused(R"({"op":"checkpoint","path":"a.json","id":1})", "id");
+
+  // Through the loop: one error line each, naming the key and listing the
+  // accepted ones, and the session keeps serving.
+  std::istringstream in(
+      "{\"op\":\"submit\",\"job\":{\"duration\":60,\"nodes\":1,\"deps\":[99]}}\n"
+      "{\"op\":\"query\",\"idd\":7}\n"
+      "{\"op\":\"submit\",\"job\":{\"duration\":60,\"nodes\":1}}\n");
+  std::ostringstream out;
+  rsvc::ServiceConfig config;
+  rsvc::ServiceEngine engine(config);
+  const rsvc::LoopStats stats = rsvc::run_service_loop(engine, in, out);
+  EXPECT_EQ(stats.n_requests, 3u);
+  EXPECT_EQ(stats.n_errors, 2u);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line,
+            R"({"ok":false,"error":"request: object \"job\" does not accept key \"deps\"; )"
+            R"(accepted keys: id, user, group, submit_time, duration, walltime, nodes, )"
+            R"(memory_gb, dependencies"})");
+  std::getline(lines, line);
+  EXPECT_EQ(line,
+            R"({"ok":false,"error":"request: op \"query\" does not accept key \"idd\"; )"
+            R"(accepted keys: op, id"})");
+  std::getline(lines, line);
+  EXPECT_EQ(line, R"({"ok":true,"op":"submit","id":1})");
+}
+
+TEST(ServiceProtocol, WrongTypedOptionalFieldsAreRefused) {
+  // A string memory_gb must not run as the 1 GB default.
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"memory_gb":"4096"}})",
+                 "memory_gb");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"walltime":"90"}})",
+                 "walltime");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"submit_time":null}})",
+                 "submit_time");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"user":"9"}})", "user");
+  expect_refused(R"({"op":"query","id":"3"})", "id");
+  expect_refused(R"({"op":"submit","job":{"duration":60,"nodes":1,"dependencies":["a"]}})",
+                 "dependencies[0]");
+}
+
+TEST(ServiceProtocol, RequestCodecRoundTripsEveryOp) {
+  for (const std::string line :
+       {R"({"op":"submit","job":{"id":4,"user":1,"group":2,"submit_time":0.5,"duration":60,)"
+        R"("walltime":90,"nodes":3,"memory_gb":12.25,"dependencies":[1,2]}})",
+        R"({"op":"query"})", R"({"op":"query","id":3})", R"({"op":"cancel","id":-1})",
+        R"({"op":"advance","to":0.30000000000000004})", R"({"op":"drain"})",
+        R"({"op":"checkpoint","path":"snap.json"})", R"({"op":"stats"})",
+        R"({"op":"shutdown"})"}) {
+    ru::JsonWriter w;
+    rsvc::request_to_json(w, parse(line));
+    EXPECT_EQ(w.str(), line);
+  }
+}
+
+TEST(ServiceProtocol, ExactDoublesParseBackBitIdentical) {
+  // strtod flags subnormals and the smallest normal with ERANGE; they are
+  // still exact values format_double_exact can write.
+  for (const double v : {std::numeric_limits<double>::denorm_min(), 4.9e-324,
+                         2.2250738585072014e-308, 1e-308, 1e-320, 1e-300, 0.1, 1.0 / 3.0,
+                         0.30000000000000004, 12345678.9, 1.7976931348623157e308}) {
+    rsvc::Request advance;
+    advance.op = rsvc::Request::Op::kAdvance;
+    advance.to = v;
+    ru::JsonWriter w;
+    rsvc::request_to_json(w, advance);
+    const double back = parse(w.str()).to;
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << w.str();
+  }
+  EXPECT_EQ(parse(R"({"op":"advance","to":4.9e-324})").to,
+            std::numeric_limits<double>::denorm_min());
+  // Overflow is still refused.
+  EXPECT_THROW(parse(R"({"op":"advance","to":1e400})"), rsvc::ProtocolError);
 }

@@ -97,8 +97,10 @@ TEST(JsonParser, FallbackAccessors) {
   EXPECT_EQ(doc.string_or("name", "d"), "x");
   EXPECT_EQ(doc.string_or("missing", "d"), "d");
   EXPECT_EQ(doc.string_or("weird", "d"), "d");  // wrong type -> fallback
-  EXPECT_DOUBLE_EQ(doc.number_or("n", 0), 5.0);
-  EXPECT_DOUBLE_EQ(doc.number_or("name", 7), 7.0);
+  ASSERT_NE(doc.find("n"), nullptr);
+  EXPECT_DOUBLE_EQ(doc.find("n")->as_number(), 5.0);
+  EXPECT_EQ(doc.find("missing"), nullptr);
+  EXPECT_EQ(ru::parse_json("[1]").find("n"), nullptr);  // not an object
 }
 
 TEST(JsonParser, ExactIntRejectsFractionsAndOutOfRange) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ru = reasched::util;
 
 TEST(Strings, Trim) {
@@ -53,6 +55,18 @@ TEST(Strings, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(ru::parse_double("-2e3").value(), -2000.0);
   EXPECT_FALSE(ru::parse_double("1.2.3").has_value());
   EXPECT_FALSE(ru::parse_double("abc").has_value());
+}
+
+TEST(Strings, ParseDoubleAcceptsUnderflowRefusesOverflow) {
+  // strtod sets ERANGE for both; only the overflow is out of range.
+  EXPECT_EQ(ru::parse_double("4.9e-324").value(), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(ru::parse_double("2.2250738585072014e-308").value(),
+            std::numeric_limits<double>::min());
+  EXPECT_EQ(ru::parse_double("1e-308").value(), 1e-308);
+  EXPECT_EQ(ru::parse_double("-1e-320").value(), -1e-320);
+  EXPECT_EQ(ru::parse_double("1e-400").value(), 0.0);
+  EXPECT_FALSE(ru::parse_double("1e400").has_value());
+  EXPECT_FALSE(ru::parse_double("-1e400").has_value());
 }
 
 TEST(Strings, Format) {
