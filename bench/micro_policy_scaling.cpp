@@ -17,10 +17,10 @@
 //
 // Sizes above --linear-max run the indexed policy only (the linear scans
 // are quadratic in queue depth and take minutes at 10^5 jobs). The trace
-// section drives a Polaris-month-scale workload - generated by the Polaris
-// trace substitute, exported to SWF and re-ingested through parse_swf, so
-// the deterministic-tie ingest path is exercised at scale - through
-// run_sweep for FCFS/SJF/EASY and records end-to-end throughput.
+// section drives a Polaris-month-scale workload - the registered
+// `polaris?interarrival=120` scenario on the 560-node Polaris cluster -
+// through run_sweep_streaming for FCFS/SJF/EASY and prints end-to-end
+// throughput.
 
 #include <chrono>
 #include <cstdio>
@@ -37,8 +37,6 @@
 #include "util/cli.hpp"
 #include "util/string_utils.hpp"
 #include "workload/scenario_spec.hpp"
-#include "workload/polaris.hpp"
-#include "workload/swf.hpp"
 
 using namespace reasched;
 
@@ -55,23 +53,6 @@ double time_run(sim::Engine& engine, const std::vector<sim::Job>& jobs,
     if (r == 0 || s < best_s) best_s = s;
   }
   return best_s;
-}
-
-/// A saturated Polaris month: 10^5 jobs at ~120 s mean interarrival keeps
-/// the 560-node partition oversubscribed, which is exactly the deep-queue
-/// regime the policy indexes exist for.
-std::vector<sim::Job> polaris_month_via_swf(std::size_t n_jobs, std::uint64_t seed) {
-  workload::PolarisTraceConfig config;
-  config.n_jobs = n_jobs + n_jobs / 2 + 20;  // post-filter count reaches n_jobs
-  config.mean_interarrival_s = 120.0;
-  const auto raw = workload::generate_polaris_raw_trace(config, seed);
-  const auto jobs = workload::preprocess_polaris_trace(raw, n_jobs);
-  // Round-trip through the SWF exporter/parser: whole-second submit stamps
-  // produce masses of same-second ties, so this leans on the stable ingest
-  // order for deterministic JobIds.
-  workload::SwfOptions options;
-  options.default_memory_gb_per_node = 512.0;
-  return workload::parse_swf(workload::jobs_to_swf(jobs), options);
 }
 
 int run(const util::CliArgs& args) {
@@ -140,36 +121,34 @@ int run(const util::CliArgs& args) {
 
   if (run_trace) {
     std::printf(
-        "\nPolaris-month-scale sweep through run_sweep (%zu jobs, 560-node cluster,\n"
-        "workload generated -> SWF round-trip -> replayed; one method per timed call):\n\n",
+        "\nPolaris-month-scale sweep through run_sweep_streaming (%zu jobs, 560-node\n"
+        "cluster, polaris?interarrival=120; one method per timed call):\n\n",
         trace_jobs);
     std::printf("  %14s  %10s  %12s  %10s  %12s\n", "method", "wall (s)", "jobs/s",
                 "decisions", "decisions/s");
 
     for (const harness::MethodSpec method : {"fcfs", "sjf", "easy"}) {
+      // A saturated Polaris month: 10^5 jobs at ~120 s mean interarrival
+      // keep the 560-node partition oversubscribed, which is exactly the
+      // deep-queue regime the policy indexes exist for.
       harness::SweepConfig sweep;
-      sweep.scenarios = {"hetero_mix"};  // label only
+      sweep.scenarios = {"polaris?interarrival=120"};
       sweep.job_counts = {trace_jobs};
       sweep.methods = {method};
       sweep.base_seed = seed;
       sweep.threads = 1;  // timing one cell: keep the pool out of the way
       sweep.engine.cluster = sim::ClusterSpec::polaris();
       sweep.engine.record_traces = false;
-      sweep.workload_source = [](const workload::ScenarioSpec&, std::size_t n_jobs,
-                                 std::uint64_t workload_seed) {
-        return polaris_month_via_swf(n_jobs, workload_seed);
-      };
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto results = harness::run_sweep(sweep);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double s = std::chrono::duration<double>(t1 - t0).count();
 
       std::size_t decisions = 0, completed = 0;
-      for (const auto& [cell, outcome] : results) {
+      const auto t0 = std::chrono::steady_clock::now();
+      harness::run_sweep_streaming(sweep, [&](const harness::Cell&,
+                                              const harness::RunOutcome& outcome) {
         decisions += outcome.schedule.n_decisions;
         completed += outcome.schedule.completed.size();
-      }
+      });
+      const auto t1 = std::chrono::steady_clock::now();
+      const double s = std::chrono::duration<double>(t1 - t0).count();
       std::printf("  %14s  %10.2f  %12.0f  %12zu  %12.0f\n",
                   harness::method_label(method).c_str(), s, static_cast<double>(completed) / s,
                   decisions, static_cast<double>(decisions) / s);

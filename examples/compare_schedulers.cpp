@@ -134,9 +134,8 @@ int run(const util::CliArgs& args) {
                                            harness::cell_runlog_columns());
   }
 
-  // The streaming sweep: identical cells, seeding and results as run_sweep,
-  // but each outcome is seen once by on_cell (serialized, completion order)
-  // and then dropped. The table only needs each cell's metrics + overhead
+  // The sweep: each outcome is seen once by on_cell (serialized, completion
+  // order) and then dropped. The table only needs each cell's metrics + overhead
   // summary, so keep those; the run log, when attached, gets one row per
   // cell as it finishes.
   std::map<harness::Cell, std::pair<metrics::MetricSet, std::optional<harness::OverheadSummary>>>

@@ -1,6 +1,5 @@
 #include "harness/sweep.hpp"
 
-#include <set>
 #include <tuple>
 
 #include "util/json_writer.hpp"
@@ -27,9 +26,6 @@ std::vector<sim::Job> cell_jobs(const SweepConfig& config,
   const std::uint64_t workload_seed = util::derive_seed(
       util::derive_seed(config.base_seed, workload::scenario_label(scenario), n_jobs), "rep",
       repetition);
-  if (config.workload_source) {
-    return config.workload_source(scenario, n_jobs, workload_seed);
-  }
   workload::GenerateOptions options;
   options.arrival_mode = config.arrival_mode;
   options.cluster = config.engine.cluster;
@@ -49,15 +45,9 @@ sim::EngineConfig cell_engine(const SweepConfig& config,
   return engine;
 }
 
-namespace {
-
-/// Shared grid driver: enumerate cells, generate each distinct workload
-/// once, run every cell on the pool, and hand each finished outcome to
-/// `consume` under a lock. Both sweep entry points are thin reducers over
-/// this, so cell enumeration, workload sharing and seeding can never drift
-/// between the retaining and the streaming path.
-template <typename Consume>
-void sweep_cells(const SweepConfig& config, Consume&& consume) {
+StreamedSweep run_sweep_streaming(
+    const SweepConfig& config,
+    const std::function<void(const Cell&, const RunOutcome&)>& on_cell) {
   // Workloads depend only on (scenario, n_jobs, repetition) - every method
   // in a cell sees the identical job list. Derive each list once and share
   // it across the method axis instead of regenerating per method.
@@ -106,36 +96,18 @@ void sweep_cells(const SweepConfig& config, Consume&& consume) {
     workloads[i] = cell_jobs(config, key.scenario, key.n_jobs, key.repetition);
   });
 
-  // Serializes the `consume` sink: cells complete on arbitrary pool threads
-  // but the caller's accumulator is single-writer. util::Mutex (not
-  // std::mutex) so -Werror=thread-safety sees the acquisition.
+  // Serializes `on_cell` and the result map: cells complete on arbitrary
+  // pool threads. util::Mutex (not std::mutex) so -Werror=thread-safety
+  // sees the acquisition.
   util::Mutex mu;
+  StreamedSweep out;
   pool.parallel_for(cells.size(), [&](std::size_t i) {
     const Cell& cell = cells[i];
     const auto& jobs =
         workloads[workload_index.at(WorkloadKey{cell.scenario, cell.n_jobs, cell.repetition})];
-    RunOutcome outcome = run_method(jobs, cell.method, cell_seed(config, cell),
-                                    engines[cell_engine_index[i]]);
+    const RunOutcome outcome = run_method(jobs, cell.method, cell_seed(config, cell),
+                                          engines[cell_engine_index[i]]);
     util::MutexLock lock(mu);
-    consume(cell, std::move(outcome));
-  });
-}
-
-}  // namespace
-
-std::map<Cell, RunOutcome> run_sweep(const SweepConfig& config) {
-  std::map<Cell, RunOutcome> results;
-  sweep_cells(config, [&](const Cell& cell, RunOutcome&& outcome) {
-    results.emplace(cell, std::move(outcome));
-  });
-  return results;
-}
-
-StreamedSweep run_sweep_streaming(
-    const SweepConfig& config,
-    const std::function<void(const Cell&, const RunOutcome&)>& on_cell) {
-  StreamedSweep out;
-  sweep_cells(config, [&](const Cell& cell, RunOutcome&& outcome) {
     if (on_cell) on_cell(cell, outcome);
     // Keep only the metric reduction; the ScheduleResult (per-job records,
     // decision traces) is dropped here, bounding sweep memory by in-flight
@@ -148,15 +120,6 @@ StreamedSweep run_sweep_streaming(
     out.groups[GroupKey{cell.scenario, cell.n_jobs, cell.method}].add(metric_set);
   }
   return out;
-}
-
-std::map<GroupKey, metrics::MetricAggregate> aggregate_sweep(
-    const std::map<Cell, RunOutcome>& results) {
-  std::map<GroupKey, metrics::MetricAggregate> groups;
-  for (const auto& [cell, outcome] : results) {
-    groups[GroupKey{cell.scenario, cell.n_jobs, cell.method}].add(outcome.metrics);
-  }
-  return groups;
 }
 
 std::vector<std::string> cell_runlog_columns() {

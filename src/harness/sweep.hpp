@@ -39,26 +39,7 @@ struct SweepConfig {
   sim::EngineConfig engine;
   /// Worker threads for independent cells (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Optional workload source replacing the scenario registry - how ad-hoc
-  /// replays (pre-loaded traces, external generators) ride through the same
-  /// grid, pairing and aggregation machinery. Called once per distinct
-  /// (scenario, n_jobs, repetition) with the cell's derived workload seed;
-  /// must be deterministic in its arguments and safe to call from worker
-  /// threads. The scenario axis degrades to a label for the result keys
-  /// (any spec string parses; it need not name a registered scenario).
-  std::function<std::vector<sim::Job>(const workload::ScenarioSpec& scenario,
-                                      std::size_t n_jobs, std::uint64_t workload_seed)>
-      workload_source;
 };
-
-/// Run the full grid. Each cell draws its workload from a seed derived from
-/// (base_seed, scenario label, n_jobs, repetition) - so all methods in a
-/// cell see the *identical* job list (paired comparison, as in the paper) -
-/// and its scheduler from a seed additionally keyed by method and
-/// repetition. Each distinct (scenario, n_jobs, repetition) workload is
-/// generated once and shared across the method axis, not re-derived per
-/// method. Deterministic regardless of thread count.
-std::map<Cell, RunOutcome> run_sweep(const SweepConfig& config);
 
 /// Workload for one cell (exposed so benches/tests can re-derive it).
 std::vector<sim::Job> cell_jobs(const SweepConfig& config,
@@ -82,29 +63,30 @@ struct GroupKey {
 };
 bool operator<(const GroupKey& a, const GroupKey& b);
 
-std::map<GroupKey, metrics::MetricAggregate> aggregate_sweep(
-    const std::map<Cell, RunOutcome>& results);
-
-/// Streaming-accumulation result: per-cell MetricSets (a few doubles each)
-/// plus the per-group aggregates, with no retained ScheduleResult.
+/// Sweep result: per-cell MetricSets (a few doubles each) plus the
+/// per-group aggregates, with no retained ScheduleResult.
 struct StreamedSweep {
   std::map<Cell, metrics::MetricSet> cells;
   std::map<GroupKey, metrics::MetricAggregate> groups;
 };
 
-/// Streaming variant for trace-scale grids: identical cell enumeration,
-/// workload sharing, seeding and scheduling as run_sweep, but each cell's
-/// RunOutcome is reduced to its MetricSet the moment the cell finishes and
-/// then dropped, so a 10^5-10^6-job optimizer/agent sweep holds one
-/// ScheduleResult per *in-flight* cell instead of one per grid cell
+/// Run the full grid. Each cell draws its workload from a seed derived from
+/// (base_seed, scenario label, n_jobs, repetition) - so all methods in a
+/// cell see the *identical* job list (paired comparison, as in the paper) -
+/// and its scheduler from a seed additionally keyed by method and
+/// repetition. Each distinct (scenario, n_jobs, repetition) workload is
+/// generated once and shared across the method axis, not re-derived per
+/// method. Each cell's RunOutcome is reduced to its MetricSet the moment the
+/// cell finishes and then dropped, so a 10^5-10^6-job optimizer/agent sweep
+/// holds one ScheduleResult per *in-flight* cell instead of one per grid cell
 /// (a full ScheduleResult retains every completed job record).
 ///
 /// `on_cell`, when set, sees each full outcome (schedule + overhead) before
-/// it is dropped - exporters hook here. It is invoked under the result lock,
-/// i.e. serialized, but in nondeterministic cell order; anything
-/// order-sensitive should key off the Cell. Aggregation itself is
-/// deterministic regardless of thread count (cells are reduced in key order
-/// after the grid completes).
+/// it is dropped - exporters and tests that compare whole runs hook here. It
+/// is invoked under the result lock, i.e. serialized, but in nondeterministic
+/// cell order; anything order-sensitive should key off the Cell. The result
+/// is deterministic regardless of thread count (cells are reduced in key
+/// order after the grid completes).
 StreamedSweep run_sweep_streaming(
     const SweepConfig& config,
     const std::function<void(const Cell&, const RunOutcome&)>& on_cell = {});

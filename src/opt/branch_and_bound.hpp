@@ -35,9 +35,4 @@ struct BnbResult {
 BnbResult branch_and_bound(const ProblemView& problem, const ObjectiveWeights& weights,
                            const BnbConfig& config = {});
 
-inline BnbResult branch_and_bound(const Problem& problem, const ObjectiveWeights& weights,
-                                  const BnbConfig& config = {}) {
-  return branch_and_bound(ProblemView(problem), weights, config);
-}
-
 }  // namespace reasched::opt

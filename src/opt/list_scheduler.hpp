@@ -32,18 +32,4 @@ std::vector<std::size_t> order_spt(const ProblemView& problem);    ///< shortest
 std::vector<std::size_t> order_lpt(const ProblemView& problem);    ///< longest walltime first
 std::vector<std::size_t> order_widest(const ProblemView& problem); ///< most nodes first
 
-/// Copying-Problem overloads (oracle path, tests, benches): same semantics
-/// through a borrowing view.
-inline PlannedSchedule decode_order(const Problem& p, const std::vector<std::size_t>& order) {
-  return decode_order(ProblemView(p), order);
-}
-inline std::vector<std::size_t> order_by_arrival(const Problem& p) {
-  return order_by_arrival(ProblemView(p));
-}
-inline std::vector<std::size_t> order_spt(const Problem& p) { return order_spt(ProblemView(p)); }
-inline std::vector<std::size_t> order_lpt(const Problem& p) { return order_lpt(ProblemView(p)); }
-inline std::vector<std::size_t> order_widest(const Problem& p) {
-  return order_widest(ProblemView(p));
-}
-
 }  // namespace reasched::opt

@@ -22,11 +22,4 @@ LocalSearchResult local_search(const ProblemView& problem, std::vector<std::size
                                const ObjectiveWeights& weights,
                                std::size_t max_evaluations = 20000, EvalPolicy policy = {});
 
-inline LocalSearchResult local_search(const Problem& problem, std::vector<std::size_t> order,
-                                      const ObjectiveWeights& weights,
-                                      std::size_t max_evaluations = 20000,
-                                      EvalPolicy policy = {}) {
-  return local_search(ProblemView(problem), std::move(order), weights, max_evaluations, policy);
-}
-
 }  // namespace reasched::opt

@@ -15,11 +15,10 @@ namespace reasched::opt {
 /// by already-running jobs (which release at known end times).
 ///
 /// This is the *copying* representation: from_context materializes the whole
-/// waiting queue and running set per decision. The solvers themselves run on
-/// ProblemView below; Problem survives as the differential oracle
-/// (tests/test_opt_golden.cpp proves the zero-copy path decides bit-
-/// identically) and as the owning container for ad-hoc instances in tests
-/// and benches.
+/// waiting queue and running set. The solvers themselves run on ProblemView
+/// below; Problem is the owning container for ad-hoc instances in tests and
+/// benches, and tests/test_opt_golden.cpp plans over both to prove the
+/// zero-copy path bit-identical.
 struct Problem {
   double now = 0.0;
   int total_nodes = 0;
@@ -50,15 +49,18 @@ class ProblemView {
  public:
   ProblemView() = default;
 
-  /// Adapter over a copying Problem (oracle and ad-hoc instances). Borrows
-  /// problem's vectors; the Problem must outlive the view.
-  explicit ProblemView(const Problem& problem)
+  /// Adapter over a copying Problem (implicit, like sim::ListView's direct
+  /// mode, so every solver takes a Problem as it is). Borrows problem's
+  /// vectors; the Problem must outlive the view.
+  ProblemView(const Problem& problem)
       : now_(problem.now),
         total_nodes_(problem.total_nodes),
         total_memory_gb_(problem.total_memory_gb),
         jobs_(problem.jobs),
         pinned_(problem.pinned.data()),
         n_pinned_(problem.pinned.size()) {}
+  /// Binding a temporary would dangle at the end of the full expression.
+  ProblemView(const Problem&&) = delete;
 
   /// Zero-copy view over a decision point. `window` - ascending queue
   /// positions as produced by sim::PlanningWindow::select - restricts the

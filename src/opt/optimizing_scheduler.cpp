@@ -155,17 +155,9 @@ sim::Action OptimizingScheduler::decide(const sim::DecisionContext& ctx) {
     return ctx.arrivals_pending || !ctx.ineligible.empty() ? sim::Action::delay()
                                                            : sim::Action::stop();
   }
-  // Oracle storage must outlive the view; it is only populated (and only
-  // pays the copy) in copy_problem_oracle mode.
-  Problem oracle;
-  ProblemView problem;
-  if (config_.copy_problem_oracle) {
-    oracle = Problem::from_context(ctx);
-    problem = ProblemView(oracle);
-  } else {
-    const bool bounded = config_.window.select(ctx.waiting, window_scratch_);
-    problem = ProblemView::from_context(ctx, bounded ? &window_scratch_ : nullptr);
-  }
+  const bool bounded = config_.window.select(ctx.waiting, window_scratch_);
+  const ProblemView problem =
+      ProblemView::from_context(ctx, bounded ? &window_scratch_ : nullptr);
 
   // Prune ids that left the (windowed) job set, then plan newcomers.
   std::set<sim::JobId> visible_ids;

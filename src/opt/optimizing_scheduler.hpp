@@ -27,10 +27,6 @@ struct OptimizingSchedulerConfig {
   /// outside the window are invisible to the plan until they enter it -
   /// the fixed-size-observation trade the related RL schedulers make.
   sim::PlanningWindow window;
-  /// Differential-oracle mode (tests/test_opt_golden.cpp): plan over the
-  /// copying Problem::from_context snapshot instead of the zero-copy
-  /// ProblemView. Decisions must be bit-identical when window.top_k == 0.
-  bool copy_problem_oracle = false;
 };
 
 /// The OR-Tools stand-in (see ARCHITECTURE.md "Substitutions"): computes

@@ -30,10 +30,4 @@ SaResult simulated_annealing(const ProblemView& problem, std::vector<std::size_t
                              const ObjectiveWeights& weights, const SaConfig& config,
                              util::Rng& rng);
 
-inline SaResult simulated_annealing(const Problem& problem, std::vector<std::size_t> seed_order,
-                                    const ObjectiveWeights& weights, const SaConfig& config,
-                                    util::Rng& rng) {
-  return simulated_annealing(ProblemView(problem), std::move(seed_order), weights, config, rng);
-}
-
 }  // namespace reasched::opt

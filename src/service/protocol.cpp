@@ -27,20 +27,6 @@ constexpr std::array<std::string_view, 9> kJobKeys = {
     "id", "user", "group", "submit_time", "duration", "walltime", "nodes", "memory_gb",
     "dependencies"};
 
-/// Refuse the first key of object `v` outside `accepted`, naming it and
-/// listing the accepted ones.
-void check_keys(const util::JsonValue& v, std::span<const std::string_view> accepted,
-                const char* kind, const char* name) {
-  for (const auto& entry : v.as_object()) {
-    if (std::find(accepted.begin(), accepted.end(), entry.first) != accepted.end()) continue;
-    std::string listed;
-    for (const std::string_view key : accepted) (listed += listed.empty() ? "" : ", ") += key;
-    throw ProtocolError(
-        util::format("request: %s \"%s\" does not accept key \"%s\"; accepted keys: %s", kind,
-                     name, entry.first.c_str(), listed.c_str()));
-  }
-}
-
 /// `v[key]` as a number; nullptr when it is absent and `optional`, a
 /// ProtocolError naming `key` when it is absent otherwise or not a number.
 const util::JsonValue* number_at(const util::JsonValue& v, const char* key, bool optional) {
@@ -77,12 +63,39 @@ int int_or(const util::JsonValue& v, const char* key, int fallback) {
 
 const char* to_string(Request::Op op) { return kOps.at(static_cast<std::size_t>(op)).name; }
 
+void check_keys(const util::JsonValue& v, std::span<const std::string_view> accepted,
+                const char* kind, const char* name) {
+  for (const auto& entry : v.as_object()) {
+    if (std::find(accepted.begin(), accepted.end(), entry.first) != accepted.end()) continue;
+    std::string listed;
+    for (const std::string_view key : accepted) (listed += listed.empty() ? "" : ", ") += key;
+    throw ProtocolError(util::format("%s \"%s\" does not accept key \"%s\"; accepted keys: %s",
+                                     kind, name, entry.first.c_str(), listed.c_str()));
+  }
+}
+
 double number_field(const util::JsonValue& v, const char* key) {
   return number_at(v, key, false)->as_number();
 }
 
 int int_field(const util::JsonValue& v, const char* key, int min) {
   return exact_int(*number_at(v, key, false), key, min);
+}
+
+bool bool_field(const util::JsonValue& v, const char* key) {
+  const util::JsonValue* field = v.find(key);
+  if (field == nullptr || !field->is_bool()) {
+    throw ProtocolError(util::format("missing or non-boolean field \"%s\"", key));
+  }
+  return field->as_bool();
+}
+
+const std::string& string_field(const util::JsonValue& v, const char* key) {
+  const util::JsonValue* field = v.find(key);
+  if (field == nullptr || !field->is_string()) {
+    throw ProtocolError(util::format("missing or non-string field \"%s\"", key));
+  }
+  return field->as_string();
 }
 
 std::string digest_hex(std::uint64_t digest) {
@@ -107,7 +120,7 @@ void job_to_json(util::JsonWriter& w, const sim::Job& job) {
 
 sim::Job job_from_json(const util::JsonValue& v) {
   if (!v.is_object()) throw ProtocolError("request: \"job\" must be an object");
-  check_keys(v, kJobKeys, "object", "job");
+  check_keys(v, kJobKeys, "request: object", "job");
   sim::Job job;
   job.duration = number_field(v, "duration");
   job.walltime = number_or(v, "walltime", job.duration);
@@ -141,7 +154,8 @@ Request parse_request(const util::JsonValue& doc) {
         name->as_string().c_str()));
   }
   const std::string_view keys[] = {"op", schema->field};
-  check_keys(doc, std::span(keys).first(schema->field.empty() ? 1 : 2), "op", schema->name);
+  check_keys(doc, std::span(keys).first(schema->field.empty() ? 1 : 2), "request: op",
+             schema->name);
   Request req;
   req.op = static_cast<Request::Op>(schema - kOps.begin());
   switch (req.op) {
@@ -155,12 +169,7 @@ Request parse_request(const util::JsonValue& doc) {
       break;
     case Request::Op::kCancel: req.id = int_field(doc, "id"); break;
     case Request::Op::kAdvance: req.to = number_field(doc, "to"); break;
-    case Request::Op::kCheckpoint:
-      if (!doc.contains("path") || !doc.at("path").is_string()) {
-        throw ProtocolError("request: checkpoint needs a string \"path\"");
-      }
-      req.path = doc.at("path").as_string();
-      break;
+    case Request::Op::kCheckpoint: req.path = string_field(doc, "path"); break;
     default: break;
   }
   return req;

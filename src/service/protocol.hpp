@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
@@ -54,11 +56,20 @@ void request_to_json(util::JsonWriter& w, const Request& request);
 void job_to_json(util::JsonWriter& w, const sim::Job& job);
 sim::Job job_from_json(const util::JsonValue& v);
 
-/// `v[key]` as a number, or as an integer in [min, INT_MAX] (checked before
-/// any cast); a ProtocolError naming `key` otherwise.
+/// Refuse the first key of object `v` outside `accepted` with a
+/// ProtocolError naming it (as a key of `kind "name"`) and listing the
+/// accepted ones. The request ops, the `job` object and the snapshot config
+/// each declare one such list.
+void check_keys(const util::JsonValue& v, std::span<const std::string_view> accepted,
+                const char* kind, const char* name);
+
+/// `v[key]` as a number, as an integer in [min, INT_MAX] (checked before any
+/// cast), as a bool or as a string; a ProtocolError naming `key` otherwise.
 double number_field(const util::JsonValue& v, const char* key);
 int int_field(const util::JsonValue& v, const char* key,
               int min = std::numeric_limits<int>::min());
+bool bool_field(const util::JsonValue& v, const char* key);
+const std::string& string_field(const util::JsonValue& v, const char* key);
 
 /// A state digest as 16 hex digits.
 std::string digest_hex(std::uint64_t digest);

@@ -1,7 +1,10 @@
 #include "service/snapshot.hpp"
 
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "service/protocol.hpp"
 #include "util/json_parser.hpp"
@@ -10,7 +13,45 @@
 
 namespace reasched::service {
 
+namespace {
+
 constexpr int kSnapshotVersion = 1;
+
+/// Every key snapshot_to_json writes, per object; restore reads no other.
+constexpr std::array<std::string_view, 4> kSnapshotKeys = {"version", "config", "ops", "digest"};
+constexpr std::array<std::string_view, 4> kConfigKeys = {"method", "seed", "engine", "stream"};
+constexpr std::array<std::string_view, 5> kEngineKeys = {
+    "max_invalid_retries", "feedback_enabled", "record_traces", "enforce_walltime", "cluster"};
+constexpr std::array<std::string_view, 4> kClusterKeys = {
+    "total_nodes", "total_memory_gb", "watts_per_busy_node", "watts_per_idle_node"};
+constexpr std::array<std::string_view, 4> kStreamKeys = {"scenario", "batch_jobs", "max_batches",
+                                                         "rate_scale"};
+
+/// `v[key]` as an object whose keys are all in `accepted`.
+const util::JsonValue& object_field(const util::JsonValue& v, const char* key,
+                                    std::span<const std::string_view> accepted) {
+  const util::JsonValue* field = v.find(key);
+  if (field == nullptr || !field->is_object()) {
+    throw ProtocolError(util::format("missing or non-object field \"%s\"", key));
+  }
+  check_keys(*field, accepted, "object", key);
+  return *field;
+}
+
+/// The seed is written as a decimal string (a uint64 does not survive a
+/// JSON double); only digits denoting a value in [0, 2^64-1] read back.
+std::uint64_t seed_field(const util::JsonValue& v) {
+  const std::string& text = string_field(v, "seed");
+  std::uint64_t seed = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), seed);
+  if (error != std::errc{} || end != text.data() + text.size()) {
+    throw ProtocolError(
+        "field \"seed\" must be a decimal integer in [0, 18446744073709551615]");
+  }
+  return seed;
+}
+
+}  // namespace
 
 std::string snapshot_to_json(const ServiceEngine& engine) {
   const ServiceConfig& config = engine.config();
@@ -65,35 +106,36 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
     throw SnapshotError(util::format("snapshot: invalid JSON (%s)", e.what()));
   }
   if (!doc.is_object()) throw SnapshotError("snapshot: expected a JSON object");
+  try {
+    check_keys(doc, kSnapshotKeys, "object", "snapshot");
+  } catch (const ProtocolError& e) {
+    throw SnapshotError(util::format("snapshot: %s", e.what()));
+  }
   if (!doc.contains("version") || doc.at("version").exact_int() != kSnapshotVersion) {
     throw SnapshotError(
         util::format("snapshot: unsupported version (this build reads %d)", kSnapshotVersion));
   }
-  if (!doc.contains("config") || !doc.at("config").is_object()) {
-    throw SnapshotError("snapshot: missing \"config\" object");
-  }
-  const util::JsonValue& cfg = doc.at("config");
-
   std::unique_ptr<ServiceEngine> engine;
   try {
+    const util::JsonValue& cfg = object_field(doc, "config", kConfigKeys);
     ServiceConfig config;
-    config.method = harness::MethodSpec::parse(cfg.at("method").as_string());
-    config.seed = std::stoull(cfg.at("seed").as_string());
-    const util::JsonValue& eng = cfg.at("engine");
+    config.method = harness::MethodSpec::parse(string_field(cfg, "method"));
+    config.seed = seed_field(cfg);
+    const util::JsonValue& eng = object_field(cfg, "engine", kEngineKeys);
     config.engine.max_invalid_retries = int_field(eng, "max_invalid_retries");
-    config.engine.feedback_enabled = eng.at("feedback_enabled").as_bool();
-    config.engine.record_traces = eng.at("record_traces").as_bool();
-    config.engine.enforce_walltime = eng.at("enforce_walltime").as_bool();
-    const util::JsonValue& cluster = eng.at("cluster");
+    config.engine.feedback_enabled = bool_field(eng, "feedback_enabled");
+    config.engine.record_traces = bool_field(eng, "record_traces");
+    config.engine.enforce_walltime = bool_field(eng, "enforce_walltime");
+    const util::JsonValue& cluster = object_field(eng, "cluster", kClusterKeys);
     config.engine.cluster.total_nodes = int_field(cluster, "total_nodes");
     config.engine.cluster.total_memory_gb = number_field(cluster, "total_memory_gb");
     config.engine.cluster.watts_per_busy_node = number_field(cluster, "watts_per_busy_node");
     config.engine.cluster.watts_per_idle_node = number_field(cluster, "watts_per_idle_node");
-    const util::JsonValue& stream = cfg.at("stream");
+    const util::JsonValue& stream = object_field(cfg, "stream", kStreamKeys);
     const int batch_jobs = int_field(stream, "batch_jobs", 0);
     if (batch_jobs > 0) {
       config.stream = workload::make_stream_spec(
-          stream.at("scenario").as_string(), static_cast<std::size_t>(batch_jobs),
+          string_field(stream, "scenario"), static_cast<std::size_t>(batch_jobs),
           static_cast<std::size_t>(int_field(stream, "max_batches", 0)),
           number_field(stream, "rate_scale"));
     }

@@ -340,8 +340,8 @@ std::vector<sim::Job> generate_scenario(const ScenarioSpec& spec, std::size_t n,
 std::string scenario_label(const ScenarioSpec& spec) {
   if (!spec.is_mix() && spec.pipeline.empty()) {
     // Mirror method_label: registry display label + canonical parameter
-    // suffix. Unregistered names (workload_source axis labels) fall through
-    // to the canonical string rather than throwing.
+    // suffix. Unregistered names fall through to the canonical string
+    // rather than throwing; generation is what refuses them.
     const ScenarioInfo* info = ScenarioRegistry::instance().find(spec.base.name);
     if (info != nullptr) {
       return info->display_label + spec.to_string().substr(spec.base.name.size());

@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/sweep.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/job.hpp"
 #include "util/rng.hpp"
@@ -42,6 +44,10 @@ class DigestBytes {
     add(static_cast<std::uint64_t>(j.dependencies.size()));
     for (const auto dep : j.dependencies) add(dep);
   }
+  void add_metrics(const metrics::MetricSet& m) {
+    for (const auto metric : metrics::all_metrics()) add(m.get(metric));
+    add(m.energy_kwh);
+  }
   std::uint64_t digest() const { return util::hash_str(bytes_); }
 
  private:
@@ -58,8 +64,7 @@ inline std::uint64_t jobs_digest(const std::vector<sim::Job>& jobs) {
 /// overhead of one run.
 inline std::uint64_t outcome_digest(const harness::RunOutcome& o) {
   DigestBytes d;
-  for (const auto metric : metrics::all_metrics()) d.add(o.metrics.get(metric));
-  d.add(o.metrics.energy_kwh);
+  d.add_metrics(o.metrics);
   d.add(o.schedule.completed.size());
   for (const auto& c : o.schedule.completed) {
     d.add(c.job.id);
@@ -90,6 +95,39 @@ inline std::uint64_t outcome_digest(const harness::RunOutcome& o) {
     for (const double latency : o.overhead->latencies) d.add(latency);
     d.add(o.overhead->prompt_tokens);
     d.add(o.overhead->completion_tokens);
+  }
+  return d.digest();
+}
+
+/// outcome_digest of every cell of a sweep, collected through
+/// run_sweep_streaming's on_cell hook while each full outcome is alive.
+inline std::map<harness::Cell, std::uint64_t> sweep_outcome_digests(
+    const harness::SweepConfig& config) {
+  std::map<harness::Cell, std::uint64_t> digests;
+  harness::run_sweep_streaming(config,
+                               [&](const harness::Cell& cell, const harness::RunOutcome& o) {
+                                 digests.emplace(cell, outcome_digest(o));
+                               });
+  return digests;
+}
+
+/// Every cell's MetricSet and every group's samples of a sweep result, under
+/// their canonical keys: equal digests mean bit-identical cells and groups.
+inline std::uint64_t sweep_digest(const harness::StreamedSweep& sweep) {
+  DigestBytes d;
+  for (const auto& [cell, metric_set] : sweep.cells) {
+    d.add_string(cell.scenario.to_string());
+    d.add(cell.n_jobs);
+    d.add_string(cell.method.to_string());
+    d.add(cell.repetition);
+    d.add_metrics(metric_set);
+  }
+  for (const auto& [key, aggregate] : sweep.groups) {
+    d.add_string(key.scenario.to_string());
+    d.add(key.n_jobs);
+    d.add_string(key.method.to_string());
+    d.add(aggregate.n_samples());
+    for (const auto& sample : aggregate.samples()) d.add_metrics(sample);
   }
   return d.digest();
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "golden_digest_test_helper.hpp"
 #include "harness/sweep.hpp"
 
 namespace rh = reasched::harness;
@@ -51,14 +52,12 @@ TEST(Sweep, DeterministicAndPaired) {
   config.base_seed = 99;
   config.threads = 2;
 
-  const auto r1 = rh::run_sweep(config);
-  const auto r2 = rh::run_sweep(config);
+  const auto r1 = reasched::testing::sweep_outcome_digests(config);
+  const auto r2 = reasched::testing::sweep_outcome_digests(config);
   ASSERT_EQ(r1.size(), 4u);  // 2 methods x 2 reps
   ASSERT_EQ(r2.size(), r1.size());
-  for (const auto& [cell, outcome] : r1) {
-    const auto& other = r2.at(cell);
-    EXPECT_DOUBLE_EQ(outcome.metrics.makespan, other.metrics.makespan)
-        << "sweep not deterministic";
+  for (const auto& [cell, digest] : r1) {
+    EXPECT_EQ(digest, r2.at(cell)) << "sweep not deterministic";
   }
 
   // Paired workloads: both methods see identical jobs per repetition.
@@ -85,8 +84,7 @@ TEST(Sweep, DuplicateMethodSpecsRunOnce) {
   // two identical cells fighting over one result key.
   config.methods = {"fcfs", "fcfs", rh::MethodSpec("fcfs"), "sjf"};
   config.threads = 1;
-  const auto results = rh::run_sweep(config);
-  EXPECT_EQ(results.size(), 2u);  // fcfs + sjf
+  EXPECT_EQ(rh::run_sweep_streaming(config).cells.size(), 2u);  // fcfs + sjf
 }
 
 TEST(Sweep, CellSeedVariesByMethodAndRep) {
@@ -105,8 +103,7 @@ TEST(Sweep, AggregateGroupsRepetitions) {
   config.methods = {"fcfs"};
   config.repetitions = 3;
   config.threads = 1;
-  const auto results = rh::run_sweep(config);
-  const auto groups = rh::aggregate_sweep(results);
+  const auto groups = rh::run_sweep_streaming(config).groups;
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups.begin()->second.n_samples(), 3u);
 }
@@ -118,41 +115,28 @@ TEST(Sweep, StaticModeProducesZeroArrivals) {
   for (const auto& j : jobs) EXPECT_DOUBLE_EQ(j.submit_time, 0.0);
 }
 
-TEST(Sweep, StreamingMatchesRetainingSweep) {
+TEST(Sweep, StreamingIsIndependentOfThreadCount) {
   rh::SweepConfig config;
   config.scenarios = {"resource_sparse", "homog_short"};
   config.job_counts = {12};
   config.methods = {"fcfs", "sjf"};
   config.repetitions = 2;
   config.base_seed = 7;
-  config.threads = 2;
+  config.threads = 1;
 
-  const auto retained = rh::run_sweep(config);
   std::size_t sink_calls = 0;
-  const auto streamed = rh::run_sweep_streaming(
+  const auto serial = rh::run_sweep_streaming(
       config, [&](const rh::Cell&, const rh::RunOutcome& outcome) {
         ++sink_calls;
         EXPECT_FALSE(outcome.schedule.completed.empty());
       });
+  ASSERT_EQ(serial.cells.size(), 8u);  // 2 scenarios x 2 methods x 2 reps
+  EXPECT_EQ(sink_calls, serial.cells.size());
+  EXPECT_EQ(serial.groups.size(), 4u);
 
-  ASSERT_EQ(streamed.cells.size(), retained.size());
-  EXPECT_EQ(sink_calls, retained.size());
-  for (const auto& [cell, outcome] : retained) {
-    const auto it = streamed.cells.find(cell);
-    ASSERT_NE(it, streamed.cells.end());
-    EXPECT_DOUBLE_EQ(it->second.makespan, outcome.metrics.makespan);
-    EXPECT_DOUBLE_EQ(it->second.avg_wait, outcome.metrics.avg_wait);
-  }
-
-  // Group aggregates equal the retaining path's aggregate_sweep (which also
-  // reduces in deterministic key order).
-  const auto groups = rh::aggregate_sweep(retained);
-  ASSERT_EQ(streamed.groups.size(), groups.size());
-  for (const auto& [key, agg] : groups) {
-    const auto it = streamed.groups.find(key);
-    ASSERT_NE(it, streamed.groups.end());
-    EXPECT_EQ(it->second.n_samples(), agg.n_samples());
-    EXPECT_DOUBLE_EQ(it->second.mean(reasched::metrics::Metric::kMakespan),
-                     agg.mean(reasched::metrics::Metric::kMakespan));
-  }
+  // Cells and groups are bit-identical on four workers: groups reduce in
+  // deterministic key order, not completion order.
+  config.threads = 4;
+  const auto parallel = rh::run_sweep_streaming(config);
+  EXPECT_EQ(reasched::testing::sweep_digest(parallel), reasched::testing::sweep_digest(serial));
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "harness/method_spec.hpp"
 #include "harness/sweep.hpp"
@@ -230,7 +231,7 @@ TEST(MethodSpec, RunMethodAcceptsSpecLiterals) {
   ASSERT_TRUE(outcome.overhead.has_value());
 }
 
-// Acceptance: a run_sweep over >= 3 windowed spec variants of one optimizer
+// Acceptance: a sweep over >= 3 windowed spec variants of one optimizer
 // and one agent rides through grid, aggregation and export with no enum
 // involvement anywhere.
 TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
@@ -246,21 +247,25 @@ TEST(MethodSpec, WindowedVariantsSweepThroughGridAndExport) {
   config.base_seed = 11;
   config.threads = 2;
 
-  const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), config.methods.size());
-
-  const auto groups = rh::aggregate_sweep(results);
-  EXPECT_EQ(groups.size(), config.methods.size());
+  std::map<rh::Cell, std::vector<std::string>> rows;
+  std::map<rh::Cell, std::size_t> completed;
+  const auto sweep = rh::run_sweep_streaming(
+      config, [&](const rh::Cell& cell, const rh::RunOutcome& outcome) {
+        rows.emplace(cell, rh::cell_runlog_row(cell, outcome));
+        completed.emplace(cell, outcome.schedule.completed.size());
+      });
+  ASSERT_EQ(sweep.cells.size(), config.methods.size());
+  EXPECT_EQ(sweep.groups.size(), config.methods.size());
 
   for (const auto& method : config.methods) {
     const rh::Cell cell{"hetero_mix", 14, method, 0};
-    const auto it = results.find(cell);
-    ASSERT_NE(it, results.end()) << method.to_string();
-    EXPECT_EQ(it->second.schedule.completed.size(), 14u) << method.to_string();
+    const auto it = rows.find(cell);
+    ASSERT_NE(it, rows.end()) << method.to_string();
+    EXPECT_EQ(completed.at(cell), 14u) << method.to_string();
 
     // Spec-keyed export: the run-log row leads with the canonical cell key,
     // so the variant is reconstructible from its row.
-    const std::vector<std::string> row = rh::cell_runlog_row(cell, it->second);
+    const std::vector<std::string>& row = it->second;
     ASSERT_EQ(row.size(), rh::cell_runlog_columns().size());
     EXPECT_EQ(row[0], "hetero_mix");
     EXPECT_EQ(row[1], "14");

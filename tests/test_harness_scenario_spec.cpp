@@ -69,8 +69,8 @@ TEST(ScenarioSpecSweep, DuplicateScenarioSpecsRunOnce) {
   config.job_counts = {8};
   config.methods = {"fcfs"};
   config.threads = 1;
-  const auto results = rh::run_sweep(config);
-  EXPECT_EQ(results.size(), 2u);  // homog_short + resource_sparse
+  // homog_short + resource_sparse
+  EXPECT_EQ(rh::run_sweep_streaming(config).cells.size(), 2u);
 }
 
 TEST(ScenarioSpecSweep, ClusterOverrideReachesEngineAndGeneration) {
@@ -96,26 +96,11 @@ TEST(ScenarioSpecSweep, ClusterOverrideReachesEngineAndGeneration) {
   // above 25% on a saturated high_parallel workload proves the engine saw
   // the narrow cluster. (Mostly: the run completing at all proves the
   // engine/generation agreement, since oversized jobs would throw.)
-  const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results.begin()->second.schedule.completed.size(), 10u);
-}
-
-TEST(ScenarioSpecSweep, WorkloadSourceReceivesSpecAndKeepsLabelSemantics) {
-  rh::SweepConfig config;
-  config.scenarios = {"replay:mytrace"};  // label-only: never hits the registry
-  config.job_counts = {6};
-  config.methods = {"fcfs"};
-  config.threads = 1;
-  std::string seen_label;
-  config.workload_source = [&seen_label](const rw::ScenarioSpec& scenario, std::size_t n,
-                                         std::uint64_t seed) {
-    seen_label = scenario.to_string();
-    return rw::generate_scenario("homog_short", n, seed);
-  };
-  const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(seen_label, "replay:mytrace");
-  EXPECT_EQ(results.begin()->first.scenario.to_string(), "replay:mytrace");
-  EXPECT_EQ(results.begin()->second.schedule.completed.size(), 6u);
+  std::size_t completed = 0;
+  const auto sweep = rh::run_sweep_streaming(
+      config, [&](const rh::Cell&, const rh::RunOutcome& outcome) {
+        completed = outcome.schedule.completed.size();
+      });
+  ASSERT_EQ(sweep.cells.size(), 1u);
+  EXPECT_EQ(completed, 10u);
 }

@@ -105,25 +105,6 @@ void expect_identical_schedules(const sim::ScheduleResult& a, const sim::Schedul
   EXPECT_EQ(a.n_backfills, b.n_backfills) << label;
 }
 
-void expect_identical_outcomes(const rh::RunOutcome& a, const rh::RunOutcome& b,
-                               const std::string& label) {
-  for (const auto metric : rm::all_metrics()) {
-    EXPECT_EQ(a.metrics.get(metric), b.metrics.get(metric))
-        << label << " metric " << rm::to_string(metric);
-  }
-  EXPECT_EQ(a.metrics.energy_kwh, b.metrics.energy_kwh) << label;
-  expect_identical_schedules(a.schedule, b.schedule, label);
-  ASSERT_EQ(a.overhead.has_value(), b.overhead.has_value()) << label;
-  if (a.overhead) {
-    EXPECT_EQ(a.overhead->n_calls, b.overhead->n_calls) << label;
-    EXPECT_EQ(a.overhead->n_successful, b.overhead->n_successful) << label;
-    EXPECT_EQ(a.overhead->total_elapsed_s, b.overhead->total_elapsed_s) << label;
-    EXPECT_EQ(a.overhead->latencies, b.overhead->latencies) << label;
-    EXPECT_EQ(a.overhead->prompt_tokens, b.overhead->prompt_tokens) << label;
-    EXPECT_EQ(a.overhead->completion_tokens, b.overhead->completion_tokens) << label;
-  }
-}
-
 }  // namespace
 
 TEST(MethodSpecGolden, SpecAndLegacyConstructionBitIdentical) {
@@ -160,22 +141,21 @@ TEST(MethodSpecGolden, SweepCellsUnchangedByRedesign) {
   config.base_seed = 4242;
   config.threads = 2;
 
-  const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), std::size(kPinnedPanel));  // 5 methods x 2 reps
+  const auto digests = reasched::testing::sweep_outcome_digests(config);
+  ASSERT_EQ(digests.size(), std::size(kPinnedPanel));  // 5 methods x 2 reps
   for (const auto& pin : kPinnedPanel) {
-    const auto it = results.find(rh::Cell{"resource_sparse", 12, pin.method, pin.rep});
-    ASSERT_NE(it, results.end()) << pin.method;
-    EXPECT_EQ(reasched::testing::outcome_digest(it->second), pin.digest)
-        << pin.method << " rep=" << pin.rep;
+    const auto it = digests.find(rh::Cell{"resource_sparse", 12, pin.method, pin.rep});
+    ASSERT_NE(it, digests.end()) << pin.method;
+    EXPECT_EQ(it->second, pin.digest) << pin.method << " rep=" << pin.rep;
   }
 
-  for (const auto& [cell, outcome] : results) {
+  for (const auto& [cell, digest] : digests) {
     // Re-run the cell standalone from its derived seed: identical outcome.
     const auto jobs = rh::cell_jobs(config, cell.scenario, cell.n_jobs, cell.repetition);
     const auto standalone =
         rh::run_method(jobs, cell.method, rh::cell_seed(config, cell), config.engine);
-    expect_identical_outcomes(outcome, standalone,
-                              rh::method_label(cell.method) + " standalone");
+    EXPECT_EQ(reasched::testing::outcome_digest(standalone), digest)
+        << rh::method_label(cell.method) << " standalone";
   }
 
   // Labels the seed derivation keys off are the pre-redesign strings.

@@ -2,7 +2,8 @@
 // solver, run over the zero-copy ProblemView at real engine decision points,
 // must reproduce the copying Problem::from_context oracle bit-for-bit - and
 // the OptimizingScheduler's full decision trace must be identical between
-// the view path and the oracle path at an unbounded (K=0) window. Combined
+// the engine's indexed views and owned copies of every context
+// (CopiedContextScheduler) at an unbounded (K=0) window. Combined
 // with test_sim_engine_golden / test_sched_policy_golden this extends the
 // bit-identical guarantee to the last layer that still copied per decision.
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "decision_context_test_helper.hpp"
 #include "opt/branch_and_bound.hpp"
 #include "opt/list_scheduler.hpp"
 #include "opt/local_search.hpp"
@@ -133,13 +135,12 @@ void run_optimizer_golden(const std::vector<rs::Job>& jobs, const std::string& l
   ro::OptimizingSchedulerConfig config;
   config.seed = 17;
   ro::OptimizingScheduler view_path(config);
-  auto oracle_config = config;
-  oracle_config.copy_problem_oracle = true;
-  ro::OptimizingScheduler oracle_path(oracle_config);
+  ro::OptimizingScheduler copied(config);
+  reasched::testing::CopiedContextScheduler oracle_path(copied);
   const auto got = engine.run(jobs, view_path);
   const auto want = engine.run(jobs, oracle_path);
   expect_identical_schedules(got, want, label);
-  EXPECT_EQ(view_path.replans(), oracle_path.replans()) << label;
+  EXPECT_EQ(view_path.replans(), copied.replans()) << label;
 }
 
 }  // namespace

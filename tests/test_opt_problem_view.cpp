@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 
 #include "core/factory.hpp"
 #include "opt/list_scheduler.hpp"
@@ -17,6 +18,11 @@
 namespace ro = reasched::opt;
 namespace rs = reasched::sim;
 namespace rw = reasched::workload;
+
+// A Problem converts to a view implicitly, so every solver takes one as it
+// is; a temporary Problem does not, since the view would outlive it.
+static_assert(std::is_convertible_v<const ro::Problem&, ro::ProblemView>);
+static_assert(!std::is_constructible_v<ro::ProblemView, ro::Problem&&>);
 
 namespace {
 

@@ -112,37 +112,6 @@ void expect_identical_jobs(const std::vector<sim::Job>& a, const std::vector<sim
   }
 }
 
-void expect_identical_outcomes(const rh::RunOutcome& a, const rh::RunOutcome& b,
-                               const std::string& label) {
-  for (const auto metric : rm::all_metrics()) {
-    EXPECT_EQ(a.metrics.get(metric), b.metrics.get(metric))
-        << label << " metric " << rm::to_string(metric);
-  }
-  EXPECT_EQ(a.metrics.energy_kwh, b.metrics.energy_kwh) << label;
-  ASSERT_EQ(a.schedule.completed.size(), b.schedule.completed.size()) << label;
-  for (std::size_t i = 0; i < a.schedule.completed.size(); ++i) {
-    EXPECT_EQ(a.schedule.completed[i].job.id, b.schedule.completed[i].job.id)
-        << label << " job " << i;
-    EXPECT_EQ(a.schedule.completed[i].start_time, b.schedule.completed[i].start_time)
-        << label << " job " << i;
-    EXPECT_EQ(a.schedule.completed[i].end_time, b.schedule.completed[i].end_time)
-        << label << " job " << i;
-  }
-  ASSERT_EQ(a.schedule.decisions.size(), b.schedule.decisions.size()) << label;
-  for (std::size_t i = 0; i < a.schedule.decisions.size(); ++i) {
-    EXPECT_EQ(a.schedule.decisions[i].time, b.schedule.decisions[i].time)
-        << label << " decision " << i;
-    EXPECT_EQ(a.schedule.decisions[i].action.type, b.schedule.decisions[i].action.type)
-        << label << " decision " << i;
-    EXPECT_EQ(a.schedule.decisions[i].action.job_id, b.schedule.decisions[i].action.job_id)
-        << label << " decision " << i;
-  }
-  EXPECT_EQ(a.schedule.final_time, b.schedule.final_time) << label;
-  EXPECT_EQ(a.schedule.n_decisions, b.schedule.n_decisions) << label;
-  EXPECT_EQ(a.schedule.n_invalid_actions, b.schedule.n_invalid_actions) << label;
-  EXPECT_EQ(a.schedule.n_backfills, b.schedule.n_backfills) << label;
-}
-
 }  // namespace
 
 TEST(ScenarioSpecGolden, CellJobsMatchPinnedDigests) {
@@ -184,14 +153,12 @@ TEST(ScenarioSpecGolden, SweepOutcomesUnchangedByScenarioRekey) {
   config.base_seed = 777;
   config.threads = 2;
 
-  const auto results = rh::run_sweep(config);
-  ASSERT_EQ(results.size(), std::size(kPinnedSweep));
+  const auto digests = reasched::testing::sweep_outcome_digests(config);
+  ASSERT_EQ(digests.size(), std::size(kPinnedSweep));
   for (const auto& pin : kPinnedSweep) {
-    const rh::Cell cell{pin.scenario, 12, pin.method, pin.rep};
-    const auto it = results.find(cell);
-    ASSERT_NE(it, results.end()) << pin.scenario << "/" << pin.method;
-    EXPECT_EQ(reasched::testing::outcome_digest(it->second), pin.digest)
-        << pin.scenario << "/" << pin.method << " rep=" << pin.rep;
+    const auto it = digests.find(rh::Cell{pin.scenario, 12, pin.method, pin.rep});
+    ASSERT_NE(it, digests.end()) << pin.scenario << "/" << pin.method;
+    EXPECT_EQ(it->second, pin.digest) << pin.scenario << "/" << pin.method << " rep=" << pin.rep;
   }
 
   // Labels the seed derivation keys off are the pre-redesign strings.
@@ -220,16 +187,15 @@ TEST(ScenarioSpecGolden, PipedTransformDeterministicAcrossCanonicalReparse) {
                         rh::cell_jobs(config, reparsed, 20, 0), "piped cell_jobs");
 
   config.scenarios = {spec};
-  const auto first = rh::run_sweep(config);
+  const auto first = reasched::testing::sweep_outcome_digests(config);
   config.scenarios = {reparsed};
-  const auto second = rh::run_sweep(config);
+  const auto second = reasched::testing::sweep_outcome_digests(config);
   ASSERT_EQ(first.size(), 2u);
   ASSERT_EQ(second.size(), first.size());
-  auto it_first = first.begin();
   auto it_second = second.begin();
-  for (; it_first != first.end(); ++it_first, ++it_second) {
-    ASSERT_EQ(it_first->first.scenario, it_second->first.scenario);
-    expect_identical_outcomes(it_first->second, it_second->second,
-                              "piped " + rh::method_label(it_first->first.method));
+  for (const auto& [cell, digest] : first) {
+    ASSERT_EQ(cell.scenario, it_second->first.scenario);
+    EXPECT_EQ(digest, it_second->second) << "piped " << rh::method_label(cell.method);
+    ++it_second;
   }
 }

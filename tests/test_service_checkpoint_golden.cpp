@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -215,6 +216,61 @@ TEST(ServiceCheckpointGolden, BadIntegerFieldsAreRefusedByName) {
   ASSERT_NE(cancel, std::string::npos);
   expect_refused(snapshot.substr(0, cancel) + with_field(snapshot.substr(cancel), "id", "1e300"),
                  "\"id\"");
+}
+
+TEST(ServiceCheckpointGolden, SeedIsReadAsStrictDecimal) {
+  rsvc::ServiceConfig config = session_config();
+  config.seed = std::numeric_limits<std::uint64_t>::max();
+  rsvc::ServiceEngine largest(config);
+  drive_reference(largest);
+  const std::string snapshot = rsvc::snapshot_to_json(largest);
+  const std::unique_ptr<rsvc::ServiceEngine> restored = rsvc::restore_snapshot_text(snapshot);
+  EXPECT_EQ(restored->config().seed, config.seed);
+  EXPECT_EQ(rsvc::snapshot_to_json(*restored), snapshot);
+
+  // None of these is a plain decimal in [0, 2^64-1], so each is refused by
+  // name. A lenient reader (std::stoull) takes the first two as 11, which a
+  // seed-11 session would then restore; the third overflows.
+  config.seed = 11;
+  rsvc::ServiceEngine engine(config);
+  drive_reference(engine);
+  const std::string eleven = rsvc::snapshot_to_json(engine);
+  ASSERT_NO_THROW(rsvc::restore_snapshot_text(eleven));
+  for (const char* bad : {"\" 11abc\"", "\"-18446744073709551605\"", "\"18446744073709551616\"",
+                          "\"+11\"", "\"\"", "11"}) {
+    expect_refused(with_field(eleven, "seed", bad), "\"seed\"");
+  }
+}
+
+TEST(ServiceCheckpointGolden, EveryObjectTakesOnlyItsOwnKeys) {
+  rsvc::ServiceEngine engine(session_config());
+  drive_reference(engine);
+  const std::string snapshot = rsvc::snapshot_to_json(engine);
+
+  // An unknown key in the snapshot or any config object is refused by name,
+  // not dropped.
+  const auto with_key_before = [&](const std::string& next, const std::string& key) {
+    std::string edited = snapshot;
+    const std::size_t at = edited.find("\"" + next + "\":");
+    EXPECT_NE(at, std::string::npos) << next;
+    return edited.insert(at, "\"" + key + "\":9,");
+  };
+  expect_refused(with_key_before("digest", "digets"),
+                 "object \"snapshot\" does not accept key \"digets\"");
+  expect_refused(with_key_before("method", "max_batch"),
+                 "object \"config\" does not accept key \"max_batch\"");
+  expect_refused(with_key_before("max_invalid_retries", "max_invalid_retriez"),
+                 "object \"engine\" does not accept key \"max_invalid_retriez\"");
+  expect_refused(with_key_before("total_nodes", "nodes"),
+                 "object \"cluster\" does not accept key \"nodes\"");
+  expect_refused(with_key_before("batch_jobs", "batch_job"),
+                 "object \"stream\" does not accept key \"batch_job\"");
+
+  // A wrong-typed bool or string field names its key.
+  expect_refused(with_field(snapshot, "feedback_enabled", "1"), "\"feedback_enabled\"");
+  expect_refused(with_field(snapshot, "enforce_walltime", "\"true\""), "\"enforce_walltime\"");
+  expect_refused(with_field(snapshot, "method", "7"), "\"method\"");
+  expect_refused(with_field(snapshot, "scenario", "null"), "\"scenario\"");
 }
 
 TEST(ServiceCheckpointGolden, UnknownOpIsRefused) {

@@ -1,8 +1,8 @@
-// Trace-scale differential coverage (label: trace): the optimizer's
-// zero-copy view path vs the copying-Problem oracle over an SWF round-trip
-// Polaris trace substitute - whole-second submit stamps mass up same-second
-// ties and deep queues, the regime the planning window exists for - plus a
-// bounded-window agent replay demonstrating flat prompt growth.
+// Trace-scale differential coverage (label: trace): the optimizer on the
+// engine's indexed views vs on owned copies of every context, over an SWF
+// round-trip Polaris trace substitute - whole-second submit stamps mass up
+// same-second ties and deep queues, the regime the planning window exists
+// for - plus a bounded-window agent replay demonstrating flat prompt growth.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/factory.hpp"
+#include "decision_context_test_helper.hpp"
 #include "core/react_agent.hpp"
 #include "opt/optimizing_scheduler.hpp"
 #include "sim/engine.hpp"
@@ -49,9 +50,8 @@ TEST(TraceOptGolden, OptimizerViewPathMatchesOracleOnAnSwfRoundTrip) {
   config.sa.iterations = 300;
   config.local_search_evals = 300;
   ro::OptimizingScheduler view_path(config);
-  auto oracle_config = config;
-  oracle_config.copy_problem_oracle = true;
-  ro::OptimizingScheduler oracle_path(oracle_config);
+  ro::OptimizingScheduler copied(config);
+  reasched::testing::CopiedContextScheduler oracle_path(copied);
 
   const auto got = engine.run(jobs, view_path);
   const auto want = engine.run(jobs, oracle_path);

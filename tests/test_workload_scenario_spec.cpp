@@ -213,8 +213,7 @@ TEST(ScenarioSpec, EnumShimMatchesLegacyLabels) {
             "Bursty + Idle?rate_scale=2");
   EXPECT_EQ(rw::scenario_label(rw::ScenarioSpec("bursty_idle|stretch?load=2")),
             "bursty_idle|stretch?load=2");
-  // Unregistered names degrade to the canonical string (workload_source
-  // axis labels), not an exception.
+  // Unregistered names degrade to the canonical string, not an exception.
   EXPECT_EQ(rw::scenario_label(rw::ScenarioSpec("my_custom_replay")), "my_custom_replay");
 }
 
