@@ -47,14 +47,16 @@ void print_usage() {
       "  --seed N               root seed (default 42)\n"
       "  --scenario SPEC        arrival-stream scenario spec (default: no stream)\n"
       "  --batch-jobs N         jobs per stream batch (default 0 = no stream)\n"
-      "  --batches N            stream batches; 0 = endless (default 1)\n"
+      "  --batches N            stream batches; 0 = endless (default 1). A stream\n"
+      "                         holds at most %zu jobs (batch-jobs x batches)\n"
       "  --rate-scale X         arrival-rate multiplier (default 1.0)\n"
       "  --enforce-walltime     kill jobs at their walltime estimate\n"
       "  --restore PATH         resume from a snapshot (overrides the flags above)\n"
       "  --trace-out PATH       write the decision trace (JSON lines) on exit\n"
       "  --obs                  enable telemetry (metrics registry + span tracer)\n"
       "  --obs-trace-out PATH   write a Chrome trace-event JSON on exit (implies --obs)\n"
-      "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n");
+      "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n",
+      reasched::workload::kMaxStreamJobs);
 }
 
 int run(const reasched::util::CliArgs& args) {

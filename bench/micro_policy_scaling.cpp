@@ -19,8 +19,9 @@
 // are quadratic in queue depth and take minutes at 10^5 jobs). The trace
 // section drives a Polaris-month-scale workload - the registered
 // `polaris?interarrival=120` scenario on the 560-node Polaris cluster -
-// through run_sweep_streaming for FCFS/SJF/EASY and prints end-to-end
-// throughput.
+// through FCFS/SJF/EASY with the cell seed and engine a sweep would use,
+// and prints the throughput of each policy run. The workload is generated
+// once, outside the timed calls.
 
 #include <chrono>
 #include <cstdio>
@@ -121,37 +122,35 @@ int run(const util::CliArgs& args) {
 
   if (run_trace) {
     std::printf(
-        "\nPolaris-month-scale sweep through run_sweep_streaming (%zu jobs, 560-node\n"
-        "cluster, polaris?interarrival=120; one method per timed call):\n\n",
+        "\nPolaris-month-scale run (%zu jobs, 560-node cluster, polaris?interarrival=120;\n"
+        "the sweep's cell workload, seed and engine; only the policy run is timed):\n\n",
         trace_jobs);
     std::printf("  %14s  %10s  %12s  %10s  %12s\n", "method", "wall (s)", "jobs/s",
                 "decisions", "decisions/s");
 
-    for (const harness::MethodSpec method : {"fcfs", "sjf", "easy"}) {
-      // A saturated Polaris month: 10^5 jobs at ~120 s mean interarrival
-      // keep the 560-node partition oversubscribed, which is exactly the
-      // deep-queue regime the policy indexes exist for.
-      harness::SweepConfig sweep;
-      sweep.scenarios = {"polaris?interarrival=120"};
-      sweep.job_counts = {trace_jobs};
-      sweep.methods = {method};
-      sweep.base_seed = seed;
-      sweep.threads = 1;  // timing one cell: keep the pool out of the way
-      sweep.engine.cluster = sim::ClusterSpec::polaris();
-      sweep.engine.record_traces = false;
+    // A saturated Polaris month: 10^5 jobs at ~120 s mean interarrival keep
+    // the 560-node partition oversubscribed, which is exactly the deep-queue
+    // regime the policy indexes exist for.
+    harness::SweepConfig sweep;
+    sweep.base_seed = seed;
+    sweep.engine.cluster = sim::ClusterSpec::polaris();
+    sweep.engine.record_traces = false;
+    const workload::ScenarioSpec scenario = "polaris?interarrival=120";
+    const std::vector<sim::Job> jobs = harness::cell_jobs(sweep, scenario, trace_jobs, 0);
+    const sim::EngineConfig engine = harness::cell_engine(sweep, scenario);
 
-      std::size_t decisions = 0, completed = 0;
+    for (const harness::MethodSpec method : {"fcfs", "sjf", "easy"}) {
+      const std::uint64_t method_seed =
+          harness::cell_seed(sweep, harness::Cell{scenario, trace_jobs, method, 0});
       const auto t0 = std::chrono::steady_clock::now();
-      harness::run_sweep_streaming(sweep, [&](const harness::Cell&,
-                                              const harness::RunOutcome& outcome) {
-        decisions += outcome.schedule.n_decisions;
-        completed += outcome.schedule.completed.size();
-      });
+      const harness::RunOutcome outcome = harness::run_method(jobs, method, method_seed, engine);
       const auto t1 = std::chrono::steady_clock::now();
       const double s = std::chrono::duration<double>(t1 - t0).count();
+      const std::size_t decisions = outcome.schedule.n_decisions;
       std::printf("  %14s  %10.2f  %12.0f  %12zu  %12.0f\n",
-                  harness::method_label(method).c_str(), s, static_cast<double>(completed) / s,
-                  decisions, static_cast<double>(decisions) / s);
+                  harness::method_label(method).c_str(), s,
+                  static_cast<double>(outcome.schedule.completed.size()) / s, decisions,
+                  static_cast<double>(decisions) / s);
     }
   }
 

@@ -12,7 +12,7 @@
 //   ./examples/compare_schedulers [--scenario SPEC] [--jobs 60] [--seed 42]
 //                                 [--threads 0] [--static] [--extensions] [--raw]
 //                                 [--method SPEC]... [--list-methods] [--list-scenarios]
-//                                 [--obs] [--trace-out trace.json] [--runlog-out cells.csv]
+//                                 [--trace-out trace.json] [--runlog-out cells.csv]
 //   ./examples/compare_schedulers --scenario "mix(long_job:0.2,resource_sparse:0.8)"
 //       --method fcfs --method "opt:portfolio?budget=2000&window=sjf:64"
 //   ./examples/compare_schedulers
@@ -61,13 +61,12 @@ void print_usage(std::ostream& os, const char* argv0) {
      << "                     \"opt:portfolio?budget=2000&window=sjf:64\". When given,\n"
      << "                     replaces the default paper panel.\n"
      << "  --trace-out PATH   Write a Chrome trace-event JSON (load in Perfetto) of the\n"
-     << "                     sampled decision/step spans on exit (implies --obs)\n"
+     << "                     sampled decision/step spans on exit; turns telemetry on.\n"
+     << "                     Observe-only: results are bit-identical either way\n"
      << "  --runlog-out PATH  Stream one row per finished grid cell (.jsonl = JSON\n"
      << "                     lines, else CSV); rows arrive in completion order\n"
      << "\n"
      << "Flags:\n"
-     << "  --obs              Enable telemetry (metrics registry + span tracer).\n"
-     << "                     Observe-only: results are bit-identical either way\n"
      << "  --list-methods     Print every registered method with its parameters and exit\n"
      << "  --list-scenarios   Print every registered scenario and transform and exit\n"
      << "  --static           All jobs submitted at t=0 instead of Poisson arrivals\n"
@@ -127,7 +126,7 @@ int run(const util::CliArgs& args) {
                                                                     : "Poisson",
               scenario.to_string().c_str(), info != nullptr ? info->doc.c_str() : "");
 
-  if (args.has("obs") || args.has("trace-out")) obs::set_enabled(true);
+  if (args.has("trace-out")) obs::set_enabled(true);
   std::shared_ptr<obs::RunLog> runlog;
   if (args.has("runlog-out")) {
     runlog = std::make_shared<obs::RunLog>(obs::make_file_sink(args.get("runlog-out", "")),
@@ -174,7 +173,6 @@ int run(const util::CliArgs& args) {
 int main(int argc, char** argv) {
   return util::run_main(argc, argv,
                         {"extensions", "help", "jobs", "list-methods", "list-scenarios", "method",
-                         "obs", "raw", "runlog-out", "scenario", "seed", "static", "threads",
-                         "trace-out"},
+                         "raw", "runlog-out", "scenario", "seed", "static", "threads", "trace-out"},
                         run);
 }

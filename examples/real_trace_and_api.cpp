@@ -28,9 +28,11 @@ static int run(const util::CliArgs& args) {
   std::vector<sim::Job> jobs;
   if (args.has("swf")) {
     workload::SwfOptions options;
-    options.max_jobs = n_jobs;
     options.max_nodes = sim::ClusterSpec::paper_default().total_nodes;
     jobs = workload::load_swf(args.get("swf", ""), options);
+    // Ids, users and t0 follow the sorted order, so the first n_jobs are the
+    // jobs a capped parse would have returned.
+    if (jobs.size() > n_jobs) jobs.resize(n_jobs);
     std::printf("Loaded %zu completed jobs from SWF trace %s\n", jobs.size(),
                 args.get("swf", "").c_str());
   } else {

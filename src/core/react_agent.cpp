@@ -1,7 +1,6 @@
 #include "core/react_agent.hpp"
 
 #include "core/action_parser.hpp"
-#include "util/logging.hpp"
 
 namespace reasched::core {
 
@@ -69,7 +68,6 @@ sim::Action ReActAgent::decide(const sim::DecisionContext& ctx) {
     // so the next prompt shows the model its formatting mistake.
     ++parse_failures_;
     action = sim::Action::delay();
-    LOG_DEBUG("ReActAgent: parse failure: " << parsed.error);
     scratchpad_.record_note(ctx.now,
                            "Response could not be parsed (" + parsed.error +
                                "); defaulted to Delay. Use 'Action: <action>'.");

@@ -8,22 +8,11 @@
 namespace reasched::metrics {
 
 /// ASCII Gantt / utilization view of a finished schedule: one row per job
-/// (start..end as a bar over a bucketed time axis) plus a node-utilization
-/// sparkline. Makes convoy effects and packing quality visible at a glance
-/// in terminals and docs - the qualitative story behind Figures 3-4.
-struct GanttOptions {
-  std::size_t width = 72;     ///< characters across the time axis
-  std::size_t max_rows = 40;  ///< cap on job rows (largest-first beyond it)
-  char bar = '#';
-  char queue = '.';           ///< waiting period (submit..start)
-};
-
-std::string render_gantt(const sim::ScheduleResult& result, const sim::ClusterSpec& spec,
-                         const GanttOptions& options = {});
-
-/// Just the utilization sparkline row (0-9 scaled node usage per bucket).
-std::string render_utilization_profile(const sim::ScheduleResult& result,
-                                       const sim::ClusterSpec& spec,
-                                       std::size_t width = 72);
+/// (start..end as a bar over a 72-character time axis, '.' while queued,
+/// '#' while running; at most 40 rows, the largest jobs beyond that) plus a
+/// node-utilization sparkline (0-9 scaled node usage per bucket). Makes
+/// convoy effects and packing quality visible at a glance in terminals and
+/// docs - the qualitative story behind Figures 3-4.
+std::string render_gantt(const sim::ScheduleResult& result, const sim::ClusterSpec& spec);
 
 }  // namespace reasched::metrics

@@ -7,11 +7,9 @@
 
 namespace reasched::obs {
 
-#ifndef REASCHED_OBS_OFF
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
-#endif
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end())) {

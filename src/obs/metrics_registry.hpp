@@ -19,22 +19,14 @@ namespace reasched::obs {
 //
 // Instrumentation sites guard on obs::enabled() (one relaxed atomic load)
 // before touching the registry or the tracer, so a disabled run pays a
-// predictable branch and nothing else. With REASCHED_OBS_OFF (CMake
-// -DREASCHED_OBS=OFF) the switch is a compile-time false and the optimizer
-// deletes every instrumentation site outright - the three configurations
-// (on / off / compiled out) must be behaviorally indistinguishable in
-// decision output, which the obs golden test pins.
+// predictable branch and nothing else. On and off must be behaviorally
+// indistinguishable in decision output, which the obs golden test pins.
 // ---------------------------------------------------------------------------
-#ifdef REASCHED_OBS_OFF
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#else
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 inline void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
-#endif
 
 /// Monotonically increasing event count. Relaxed atomics: cells are
 /// independent, cross-cell ordering is reconstructed by the snapshot reader,

@@ -1,10 +1,10 @@
 #include "obs/runlog.hpp"
 
+#include <cstdio>
 #include <utility>
 
 #include "util/csv.hpp"
 #include "util/json_writer.hpp"
-#include "util/logging.hpp"
 
 namespace reasched::obs {
 
@@ -13,6 +13,11 @@ namespace {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+void warn_sink_failed() {
+  std::fputs("[WARN] run log sink failed; further rows are dropped (run output is unaffected)\n",
+             stderr);
 }
 
 }  // namespace
@@ -79,20 +84,27 @@ bool RunLog::append(const std::vector<std::string>& values) {
   util::MutexLock lock(mu_);
   if (!failed_ && !opened_) {
     opened_ = true;
-    if (sink_ == nullptr || !sink_->open(columns_)) failed_ = true;
+    if (sink_ == nullptr || !sink_->open(columns_)) {
+      failed_ = true;
+      warn_sink_failed();
+    }
   }
   if (values.size() != columns_.size()) {
     ++dropped_;
-    util::Logger::instance().log_limited(util::LogLevel::kWarn, "obs.runlog.columns",
-                                         "run log row dropped: column count mismatch");
+    if (!mismatch_warned_) {
+      mismatch_warned_ = true;
+      std::fputs("[WARN] run log row dropped: column count mismatch (further mismatches are not "
+                 "reported)\n",
+                 stderr);
+    }
     return false;
   }
-  if (failed_ || !sink_->append(values)) {
+  if (!failed_ && !sink_->append(values)) {
     failed_ = true;
+    warn_sink_failed();
+  }
+  if (failed_) {
     ++dropped_;
-    util::Logger::instance().log_limited(
-        util::LogLevel::kWarn, "obs.runlog",
-        "run log sink failed; further rows are dropped (run output is unaffected)");
     return false;
   }
   ++rows_;

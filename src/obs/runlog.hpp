@@ -63,8 +63,9 @@ std::unique_ptr<RunLogSink> make_file_sink(const std::string& path);
 /// (sweep cells, completed service jobs), so nothing accumulates a full
 /// result grid in memory. Thread-safe - run_sweep_streaming's on_cell hook
 /// fires from worker threads. A failing sink degrades, never escalates:
-/// rows are counted as dropped and one rate-limited warning reaches stderr
-/// (util::Logger::log_limited); the run itself is unaffected.
+/// rows are counted as dropped, and stderr gets at most one warning per log
+/// for a failed sink and one for column-count mismatches; the run itself is
+/// unaffected.
 class RunLog {
  public:
   RunLog(std::unique_ptr<RunLogSink> sink, std::vector<std::string> columns);
@@ -87,6 +88,7 @@ class RunLog {
   std::unique_ptr<RunLogSink> sink_ GUARDED_BY(mu_);
   bool opened_ GUARDED_BY(mu_) = false;
   bool failed_ GUARDED_BY(mu_) = false;
+  bool mismatch_warned_ GUARDED_BY(mu_) = false;
   std::size_t rows_ GUARDED_BY(mu_) = 0;
   std::size_t dropped_ GUARDED_BY(mu_) = 0;
 };

@@ -1,12 +1,12 @@
 #include "sim/engine_core.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "sim/feedback.hpp"
-#include "util/logging.hpp"
 #include "util/string_utils.hpp"
 
 namespace reasched::sim {
@@ -162,8 +162,9 @@ void EngineCore::emergency_start(double event_time) {
   // fit (capacity-impossible jobs were rejected at submission).
   for (const Job& job : table_.waiting_view()) {
     if (cluster_.fits(job)) {
-      LOG_WARN("Engine: forcing FCFS start of job " << job.id
-                                                    << " to break a scheduler livelock");
+      std::fprintf(stderr,
+                   "[WARN] Engine: forcing FCFS start of job %d to break a scheduler livelock\n",
+                   job.id);
       ++result_.n_forced_delays;
       execute_start(event_time, job, /*backfill=*/false);
       return;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <stdexcept>
 
 #include "sim/feedback.hpp"
-#include "util/logging.hpp"
 #include "util/string_utils.hpp"
 
 namespace reasched::sim {
@@ -140,8 +140,10 @@ void ReferenceEngine::execute_start(RunState& rs, double now, const Job& job, bo
 void ReferenceEngine::emergency_start(RunState& rs, double now) {
   for (const Job& job : rs.waiting) {
     if (rs.cluster.fits(job)) {
-      LOG_WARN("ReferenceEngine: forcing FCFS start of job "
-               << job.id << " to break a scheduler livelock");
+      std::fprintf(stderr,
+                   "[WARN] ReferenceEngine: forcing FCFS start of job %d to break a scheduler "
+                   "livelock\n",
+                   job.id);
       ++rs.result.n_forced_delays;
       execute_start(rs, now, job, /*backfill=*/false);
       return;

@@ -88,6 +88,18 @@ sim::Job ArrivalStream::pop() {
 
 StreamSpec make_stream_spec(const std::string& scenario, std::size_t batch_jobs,
                             std::size_t max_batches, double rate_scale) {
+  if (batch_jobs > kMaxStreamJobs) {
+    throw std::invalid_argument(
+        util::format("stream spec: batch_jobs %zu exceeds the stream limit of %zu jobs",
+                     batch_jobs, kMaxStreamJobs));
+  }
+  // Divide rather than multiply: the product can overflow std::size_t.
+  if (batch_jobs != 0 && max_batches > kMaxStreamJobs / batch_jobs) {
+    throw std::invalid_argument(util::format(
+        "stream spec: max_batches %zu x batch_jobs %zu exceeds the stream limit of %zu jobs; "
+        "max_batches 0 streams without end",
+        max_batches, batch_jobs, kMaxStreamJobs));
+  }
   StreamSpec spec;
   spec.scenario = ScenarioSpec::parse(scenario);
   spec.batch_jobs = batch_jobs;

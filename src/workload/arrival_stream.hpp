@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -73,10 +74,16 @@ class ArrivalStream {
   double time_offset_ = 0.0;      ///< start of the next batch's time window
 };
 
+/// Most jobs one stream may generate: the cap on `batch_jobs` and, for a
+/// finite stream, on `batch_jobs * max_batches`. An endless stream
+/// (`max_batches == 0`) is held to the per-batch cap only.
+inline constexpr std::size_t kMaxStreamJobs = 1'000'000;
+
 /// Parse the stream knobs of a service config / CLI: the scenario spec
 /// string plus batch size, batch count and rate scale. Central so the
 /// service snapshot, the protocol layer and the reasched_service CLI agree
-/// on one encoding.
+/// on one encoding. Refuses, naming the key, a stream over kMaxStreamJobs
+/// before any batch is generated.
 StreamSpec make_stream_spec(const std::string& scenario, std::size_t batch_jobs,
                             std::size_t max_batches, double rate_scale);
 

@@ -16,6 +16,7 @@ namespace {
 constexpr int kUsers = 20;
 constexpr int kGroups = 6;
 constexpr double kEpochStart = 1730419200.0;  ///< Nov 1 2024 00:00:00 UTC
+constexpr double kFailedFraction = 0.08;     ///< raw rows marked EXIT_STATUS -1
 
 const std::vector<std::string> kRawHeader = {
     "JOB_NAME",        "USER",
@@ -50,7 +51,7 @@ util::CsvTable generate_polaris_raw_trace(const PolarisTraceConfig& config, std:
     // Users over-request walltime by 5%-300%.
     const double walltime = runtime * rng.uniform_real(1.05, 3.0);
     const double wait = rng.exponential(600.0);
-    const bool failed = rng.bernoulli(config.failed_fraction);
+    const bool failed = rng.bernoulli(kFailedFraction);
 
     const double start = submit + wait;
     // Failed jobs die early - a fraction of their requested time.

@@ -24,7 +24,6 @@ namespace reasched::workload {
 /// (filtered by preprocessing, as in the paper).
 struct PolarisTraceConfig {
   std::size_t n_jobs = 140;  ///< raw rows; ~8% fail and are filtered out
-  double failed_fraction = 0.08;
   /// Busy-period submission rate; produces the queueing contention that
   /// makes the Figure 8 comparison non-trivial (an idle-at-zero cluster
   /// absorbs sparse arrivals with zero waits for every scheduler).

@@ -59,9 +59,6 @@ std::vector<sim::Job> parse_swf(std::string_view text, const SwfOptions& options
   // ties in file order, which the archive documents as submission order.
   std::stable_sort(records.begin(), records.end(),
                    [](const SwfRecord& a, const SwfRecord& b) { return a.submit < b.submit; });
-  if (options.max_jobs != 0 && records.size() > options.max_jobs) {
-    records.resize(options.max_jobs);
-  }
   if (records.empty()) return {};
 
   const double t0 = records.front().submit;

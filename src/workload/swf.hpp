@@ -26,8 +26,6 @@ struct SwfOptions {
   /// Keep only completed jobs (SWF status == 1), like the paper's Polaris
   /// preprocessing drops failed jobs.
   bool completed_only = true;
-  /// Stop after this many accepted jobs (0 = no limit).
-  std::size_t max_jobs = 0;
   /// Memory per node when the trace reports none (-1), in GB.
   double default_memory_gb_per_node = 4.0;
   /// Clamp node requests to this cluster width (0 = no clamp).

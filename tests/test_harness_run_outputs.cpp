@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "metrics/gantt.hpp"
+#include "util/string_utils.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace rh = reasched::harness;
@@ -35,20 +38,41 @@ TEST(Gantt, EmptyScheduleHandled) {
 }
 
 TEST(Gantt, RowCapKeepsLargestJobs) {
-  const auto jobs = rw::generate_scenario("hetero_mix", 30, 7);
+  const auto jobs = rw::generate_scenario("hetero_mix", 60, 7);
   const auto outcome = rh::run_method(jobs, "fcfs", 7);
-  rm::GanttOptions options;
-  options.max_rows = 5;
   const std::string gantt =
-      rm::render_gantt(outcome.schedule, rs::ClusterSpec::paper_default(), options);
-  EXPECT_EQ(std::count(gantt.begin(), gantt.end(), '\n'), 7);  // 5 rows + header + util
+      rm::render_gantt(outcome.schedule, rs::ClusterSpec::paper_default());
+  EXPECT_NE(gantt.find("Gantt: 60 job(s)"), std::string::npos);
+  EXPECT_EQ(std::count(gantt.begin(), gantt.end(), '\n'), 42);  // 40 rows + header + util
+
+  // The 40 rows shown are the 40 largest jobs by node-seconds.
+  std::vector<double> sizes;
+  for (const auto& c : outcome.schedule.completed) sizes.push_back(c.job.node_seconds());
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  const double smallest_shown = sizes[39];
+  std::size_t shown = 0;
+  for (const auto& c : outcome.schedule.completed) {
+    const bool listed =
+        gantt.find(reasched::util::format("J%-4d %3dn |", c.job.id, c.job.nodes)) !=
+        std::string::npos;
+    if (listed) {
+      ++shown;
+      EXPECT_GE(c.job.node_seconds(), smallest_shown) << "J" << c.job.id;
+    }
+  }
+  EXPECT_EQ(shown, 40u);
 }
 
 TEST(Gantt, UtilizationProfileBounds) {
   const auto outcome = sample_outcome("opt:portfolio");
-  const std::string profile = rm::render_utilization_profile(
-      outcome.schedule, rs::ClusterSpec::paper_default(), 40);
-  EXPECT_EQ(profile.size(), 40u);
+  const std::string gantt =
+      rm::render_gantt(outcome.schedule, rs::ClusterSpec::paper_default());
+  const std::string prefix = "util (0-9)  |";
+  const std::size_t at = gantt.find(prefix);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t from = at + prefix.size();
+  const std::string profile = gantt.substr(from, gantt.find('|', from) - from);
+  EXPECT_EQ(profile.size(), 72u);
   for (const char c : profile) {
     EXPECT_GE(c, '0');
     EXPECT_LE(c, '9');

@@ -6,12 +6,6 @@
 // Any telemetry write that leaks back into engine state (clock, RNG, queue
 // order, float accumulation order) shows up here as the first divergent
 // trace line.
-//
-// The REASCHED_OBS_OFF compile-time configuration is a strict subset of
-// the runtime-disabled path exercised here (enabled() is hardwired to
-// false instead of reading the atomic), so this test also pins the
-// compiled-out build: code that is bit-identical under runtime-off stays
-// bit-identical when the same branches are removed at compile time.
 
 #include <gtest/gtest.h>
 

@@ -3,8 +3,8 @@
 // tier). Covers the bounded-ring eviction contract, Chrome trace-event
 // export well-formedness (parsed back with the repo's own JSON parser, the
 // same check CI's validate step performs with Python), RAII/move Span
-// semantics, both run-log sinks, the degrade-don't-escalate failure policy,
-// and the rate-limited Logger path the run log warns through.
+// semantics, both run-log sinks, and the degrade-don't-escalate failure
+// policy with its one warning per failure kind.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/json_parser.hpp"
-#include "util/logging.hpp"
 
 namespace ro = reasched::obs;
 namespace ru = reasched::util;
@@ -180,55 +179,53 @@ TEST(ObsRunLog, JsonlSinkEmitsOneParsableObjectPerRow) {
 
 TEST(ObsRunLog, ColumnMismatchDropsRowWithoutLatchingFailure) {
   const std::string path = ::testing::TempDir() + "/reasched_obs_runlog_mismatch.csv";
-  ru::Logger::instance().reset_limits();
   ro::RunLog log(ro::make_file_sink(path), {"a", "b"});
+  ::testing::internal::CaptureStderr();
   EXPECT_FALSE(log.append({"only-one"}));
-  EXPECT_EQ(log.dropped(), 1u);
+  EXPECT_FALSE(log.append({"x", "y", "z"}));
+  EXPECT_FALSE(log.append({}));
+  EXPECT_EQ(log.dropped(), 3u);
   // A bad row is that caller's bug, not the sink's death: later well-formed
   // rows still land.
   EXPECT_TRUE(log.append({"x", "y"}));
   EXPECT_EQ(log.rows(), 1u);
+  // Three dropped rows, one warning line.
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[WARN] run log row dropped: column count mismatch (further mismatches are not "
+            "reported)\n");
 }
 
 TEST(ObsRunLog, FailingSinkDegradesAndNeverThrows) {
-  ru::Logger::instance().reset_limits();
+  const std::string warning =
+      "[WARN] run log sink failed; further rows are dropped (run output is unaffected)\n";
   {
     // Sink dies at open: every row is dropped, nothing throws.
     ro::RunLog log(std::make_unique<FailingSink>(0), {"a"});
+    ::testing::internal::CaptureStderr();
     EXPECT_FALSE(log.append({"r1"}));
     EXPECT_FALSE(log.append({"r2"}));
+    EXPECT_FALSE(log.append({"r3"}));
     EXPECT_EQ(log.rows(), 0u);
-    EXPECT_EQ(log.dropped(), 2u);
+    EXPECT_EQ(log.dropped(), 3u);
     log.flush();  // no-op on a failed log, must not crash
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), warning);
   }
   {
     // Sink dies mid-stream: the failure latches and later rows drop fast.
     ro::RunLog log(std::make_unique<FailingSink>(2), {"a"});
+    ::testing::internal::CaptureStderr();
     EXPECT_TRUE(log.append({"r1"}));
     EXPECT_FALSE(log.append({"r2"}));  // sink reports the failure here
     EXPECT_FALSE(log.append({"r3"}));  // latched: sink no longer consulted
+    EXPECT_FALSE(log.append({"r4"}));
+    // A mismatched row on a failed log warns once for its own kind.
+    EXPECT_FALSE(log.append({"r5", "extra"}));
+    EXPECT_FALSE(log.append({"r6", "extra"}));
     EXPECT_EQ(log.rows(), 1u);
-    EXPECT_EQ(log.dropped(), 2u);
+    EXPECT_EQ(log.dropped(), 5u);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              warning +
+                  "[WARN] run log row dropped: column count mismatch (further mismatches are "
+                  "not reported)\n");
   }
-  // The degradation warned through the rate-limited path exactly once per
-  // key, however many rows were dropped.
-  EXPECT_GE(ru::Logger::instance().limited_call_count("obs.runlog"), 3u);
-  ru::Logger::instance().reset_limits();
-}
-
-TEST(ObsLogging, LimitedWarnSuppressesRepeats) {
-  auto& logger = ru::Logger::instance();
-  const auto saved = logger.level();
-  logger.set_level(ru::LogLevel::kOff);  // count, but keep stderr quiet
-  logger.reset_limits();
-
-  for (int i = 0; i < 5; ++i) {
-    logger.log_limited(ru::LogLevel::kWarn, "test.key", "repeated warning");
-  }
-  EXPECT_EQ(logger.limited_call_count("test.key"), 5u);
-  EXPECT_EQ(logger.limited_call_count("other.key"), 0u);
-
-  logger.reset_limits();
-  EXPECT_EQ(logger.limited_call_count("test.key"), 0u);
-  logger.set_level(saved);
 }

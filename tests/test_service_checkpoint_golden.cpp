@@ -218,6 +218,18 @@ TEST(ServiceCheckpointGolden, BadIntegerFieldsAreRefusedByName) {
                  "\"id\"");
 }
 
+TEST(ServiceCheckpointGolden, OversizedStreamsAreRefusedBeforeReplay) {
+  rsvc::ServiceEngine engine(session_config());
+  drive_reference(engine);
+  const std::string snapshot = rsvc::snapshot_to_json(engine);
+
+  // Without the stream limit the first is one 10^8-job batch generated by
+  // the replay of op 0, and the second restores a stream whose drain does
+  // not end. Both are refused from the config, naming the key.
+  expect_refused(with_field(snapshot, "batch_jobs", "100000000"), "batch_jobs");
+  expect_refused(with_field(snapshot, "max_batches", "100000000"), "max_batches");
+}
+
 TEST(ServiceCheckpointGolden, SeedIsReadAsStrictDecimal) {
   rsvc::ServiceConfig config = session_config();
   config.seed = std::numeric_limits<std::uint64_t>::max();

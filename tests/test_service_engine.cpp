@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "service/service_engine.hpp"
 #include "sim/engine.hpp"
+#include "workload/arrival_stream.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace rsvc = reasched::service;
@@ -177,6 +180,33 @@ TEST(ServiceEngine, EndlessStreamRefusesToDrain) {
   rsvc::ServiceEngine engine(config);
   engine.advance_to(100.0);
   EXPECT_THROW(engine.drain(), std::logic_error);
+}
+
+TEST(ArrivalStream, StreamSpecEnforcesTheJobLimit) {
+  // make_stream_spec is the one constructor behind the daemon's
+  // --batch-jobs/--batches flags, snapshot restore and the sustained-load
+  // bench, so these refusals hold on every path that builds a stream.
+  constexpr std::size_t kMax = rw::kMaxStreamJobs;
+  auto refusal = [](std::size_t batch_jobs, std::size_t max_batches) -> std::string {
+    try {
+      (void)rw::make_stream_spec("bursty_idle", batch_jobs, max_batches, 1.0);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(refusal(kMax, 1), "");
+  EXPECT_EQ(refusal(kMax / 4, 4), "");
+  EXPECT_EQ(refusal(kMax, 0), "");  // endless: only the batch size is capped
+  EXPECT_EQ(refusal(0, 100000000), "");  // no generated jobs at all
+  EXPECT_NE(refusal(kMax + 1, 1).find("batch_jobs"), std::string::npos);
+  EXPECT_NE(refusal(kMax + 1, 0).find("batch_jobs"), std::string::npos);
+  EXPECT_NE(refusal(100000000, 1).find("batch_jobs"), std::string::npos);
+  EXPECT_NE(refusal(kMax / 4, 5).find("max_batches"), std::string::npos);
+  EXPECT_NE(refusal(40, 100000000).find("max_batches"), std::string::npos);
+  // 2 x 2^63 wraps std::size_t to 0; it must still be refused.
+  const std::size_t half_range = std::numeric_limits<std::size_t>::max() / 2 + 1;
+  EXPECT_NE(refusal(2, half_range).find("max_batches"), std::string::npos);
 }
 
 TEST(ArrivalStream, RateScaleCompressesArrivals) {

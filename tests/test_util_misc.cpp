@@ -8,7 +8,6 @@
 
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
-#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time_format.hpp"
@@ -237,36 +236,6 @@ TEST(TimeFormat, Durations) {
 TEST(TimeFormat, SimTime) {
   EXPECT_EQ(ru::format_sim_time(1554.0), "[t=1554]");
   EXPECT_EQ(ru::format_sim_time(2.5), "[t=2.50]");
-}
-
-TEST(Logging, LevelThresholdAndNames) {
-  auto& logger = ru::Logger::instance();
-  const auto saved = logger.level();
-  logger.set_level(ru::LogLevel::kError);
-  EXPECT_EQ(logger.level(), ru::LogLevel::kError);
-  // Below-threshold messages are dropped silently; above-threshold emitted
-  // to stderr (no observable side channel here - just must not crash).
-  logger.log(ru::LogLevel::kDebug, "dropped");
-  logger.set_level(ru::LogLevel::kOff);
-  logger.log(ru::LogLevel::kError, "also dropped");
-  EXPECT_STREQ(ru::level_name(ru::LogLevel::kDebug), "DEBUG");
-  EXPECT_STREQ(ru::level_name(ru::LogLevel::kInfo), "INFO");
-  EXPECT_STREQ(ru::level_name(ru::LogLevel::kWarn), "WARN");
-  EXPECT_STREQ(ru::level_name(ru::LogLevel::kError), "ERROR");
-  EXPECT_STREQ(ru::level_name(ru::LogLevel::kOff), "OFF");
-  logger.set_level(saved);
-}
-
-TEST(Logging, MacroRespectsThreshold) {
-  auto& logger = ru::Logger::instance();
-  const auto saved = logger.level();
-  logger.set_level(ru::LogLevel::kOff);
-  int evaluations = 0;
-  LOG_DEBUG("side effect " << ++evaluations);
-  // The macro still evaluates its stream expression only when the level
-  // passes the early check; with kOff nothing is formatted.
-  EXPECT_EQ(evaluations, 0);
-  logger.set_level(saved);
 }
 
 TEST(ThreadPool, ParallelForRunsAll) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "workload/polaris.hpp"
 
@@ -85,10 +86,15 @@ TEST(PolarisPreprocess, KeepsContiguousSegment) {
 }
 
 TEST(PolarisPreprocess, EmptyTraceYieldsEmpty) {
-  rw::PolarisTraceConfig config;
-  config.n_jobs = 10;
-  config.failed_fraction = 1.0;  // everything fails
-  const auto raw = rw::generate_polaris_raw_trace(config, 7);
+  reasched::util::CsvTable raw({"JOB_NAME", "USER", "GROUP", "SUBMIT_TIMESTAMP",
+                                "START_TIMESTAMP", "END_TIMESTAMP", "NODES_REQUESTED",
+                                "WALLTIME_SECONDS", "QUEUED_WAIT_SECONDS", "EXIT_STATUS"});
+  EXPECT_TRUE(rw::preprocess_polaris_trace(raw, 10).empty());
+  // Every row failed (EXIT_STATUS -1): nothing survives the filter.
+  for (int i = 0; i < 10; ++i) {
+    raw.add_row({"job_" + std::to_string(i), "u1", "g1", std::to_string(1000 + i), "2000",
+                 "2600", "4", "900", "0", "-1"});
+  }
   EXPECT_TRUE(rw::preprocess_polaris_trace(raw, 10).empty());
 }
 

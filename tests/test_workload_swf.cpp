@@ -55,13 +55,13 @@ TEST(Swf, KeepFailedWhenRequested) {
   EXPECT_EQ(rw::parse_swf(kSampleSwf, options).size(), 3u);
 }
 
-TEST(Swf, MaxJobsAndNodeClamp) {
+TEST(Swf, NodeClamp) {
   rw::SwfOptions options;
-  options.max_jobs = 1;
   options.max_nodes = 8;
   const auto jobs = rw::parse_swf(kSampleSwf, options);
-  ASSERT_EQ(jobs.size(), 1u);
+  ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].nodes, 8);  // clamped from 16
+  EXPECT_EQ(jobs[1].nodes, 4);  // under the clamp: unchanged
 }
 
 TEST(Swf, SameSubmitTimeKeepsFileOrder) {
