@@ -17,19 +17,20 @@
 // checkpoint/kill/restore/resume one.
 //
 // Telemetry (all observe-only; decisions are bit-identical with or without):
-//   --obs                 enable the metrics registry + span tracer
+//   --obs                 enable the span tracer
 //   --obs-trace-out PATH  write a Chrome trace-event JSON (Perfetto) on exit
 //   --runlog-out PATH     stream one row per completed job (.jsonl or CSV)
-//   {"op":"stats"}        live registry snapshot over the protocol
+//   {"op":"stats"}        live session counters over the protocol, read
+//                         from the session itself with or without --obs
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics_registry.hpp"
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
@@ -53,7 +54,7 @@ void print_usage() {
       "  --enforce-walltime     kill jobs at their walltime estimate\n"
       "  --restore PATH         resume from a snapshot (overrides the flags above)\n"
       "  --trace-out PATH       write the decision trace (JSON lines) on exit\n"
-      "  --obs                  enable telemetry (metrics registry + span tracer)\n"
+      "  --obs                  enable telemetry (span tracer)\n"
       "  --obs-trace-out PATH   write a Chrome trace-event JSON on exit (implies --obs)\n"
       "  --runlog-out PATH      stream completed-job rows (.jsonl = JSON lines, else CSV)\n",
       reasched::workload::kMaxStreamJobs);
@@ -85,7 +86,17 @@ int run(const reasched::util::CliArgs& args) {
     engine = std::make_unique<service::ServiceEngine>(config);
   }
 
-  if (args.has("obs") || args.has("obs-trace-out")) obs::set_enabled(true);
+  // Both trace outputs are opened before the first request, so an
+  // unwritable path exits 1 up front instead of after the whole session.
+  std::optional<std::ofstream> trace_out;
+  if (args.has("trace-out")) {
+    const std::string path = args.get("trace-out", "");
+    trace_out.emplace(path);
+    if (!*trace_out) throw std::runtime_error("cannot open " + path);
+  }
+  std::optional<obs::ChromeTraceFile> obs_trace_out;
+  if (args.has("obs-trace-out")) obs_trace_out.emplace(args.get("obs-trace-out", ""));
+  if (args.has("obs") || obs_trace_out) obs::set_enabled(true);
   if (args.has("runlog-out")) {
     // Attached after construction, so it works for --restore sessions too
     // (telemetry is not part of the snapshot: observe-only state).
@@ -95,15 +106,8 @@ int run(const reasched::util::CliArgs& args) {
 
   service::run_service_loop(*engine, std::cin, std::cout);
 
-  if (args.has("trace-out")) {
-    const std::string path = args.get("trace-out", "");
-    std::ofstream f(path);
-    if (!f) throw std::runtime_error("cannot open " + path);
-    f << service::render_decision_trace(engine->schedule_view());
-  }
-  if (args.has("obs-trace-out")) {
-    obs::TraceRecorder::global().save_chrome_trace(args.get("obs-trace-out", ""));
-  }
+  if (trace_out) *trace_out << service::render_decision_trace(engine->schedule_view());
+  if (obs_trace_out) obs_trace_out->write(obs::TraceRecorder::global());
   return 0;
 }
 

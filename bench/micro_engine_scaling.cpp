@@ -13,9 +13,9 @@
 // telemetry-on throughput (`obs_on_dec_per_s`) alongside so a regression in
 // the instrumented path gates too.
 //
-// Each size also runs with telemetry enabled (obs counters + sampled
-// spans), as alternating off/on pairs per rep so neither side
-// systematically gets the cooler CPU. The per-size `obs ovh` column only
+// Each size also runs with telemetry enabled (sampled spans), as
+// alternating off/on pairs per rep so neither side systematically gets the
+// cooler CPU. The per-size `obs ovh` column only
 // reports: a sub-20ms cell cannot support a small wall-clock threshold
 // reliably, so service_sustained_load, whose cells run long enough, owns
 // the <2% telemetry-overhead gate.
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/sjf.hpp"

@@ -23,8 +23,8 @@
 // bench-regression gate (tools/compare_bench.py --gate-suffix jobs_per_s);
 // peak queue depth and decisions/sec ride along as informational metrics.
 //
-// Each cell also reruns with telemetry enabled (obs counters + sampled
-// spans + per-completion run-log accounting), records `obs_on_jobs_per_s`,
+// Each cell also reruns with telemetry enabled (sampled spans +
+// per-completion run-log accounting), records `obs_on_jobs_per_s`,
 // and the aggregate slowdown must stay under --max-overhead-pct (default
 // 2%, 0 disables) - the service-path half of the observability overhead
 // gate (micro_engine_scaling gates the batch engine path).
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
 #include "service/service_engine.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"

@@ -30,7 +30,6 @@
 #include "harness/method_spec.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/report.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -119,6 +118,13 @@ int run(const util::CliArgs& args) {
   // checks names/keys only; values are typed at generation) and unreadable
   // trace paths fail here, before any cell runs, not inside the sweep.
   const std::vector<sim::Job> jobs = harness::cell_jobs(config, scenario, n_jobs, 0);
+  // Opened before the first line of output, so an unwritable path exits 1
+  // with nothing on stdout instead of after the whole sweep.
+  std::optional<obs::ChromeTraceFile> trace_out;
+  if (args.has("trace-out")) {
+    trace_out.emplace(args.get("trace-out", ""));
+    obs::set_enabled(true);
+  }
   const auto* info = workload::ScenarioRegistry::instance().find(scenario.base.name);
   std::printf("Scenario: %s - %zu jobs, %s arrivals\nspec: %s\n%s\n\n",
               workload::scenario_label(scenario).c_str(), jobs.size(),
@@ -126,7 +132,6 @@ int run(const util::CliArgs& args) {
                                                                     : "Poisson",
               scenario.to_string().c_str(), info != nullptr ? info->doc.c_str() : "");
 
-  if (args.has("trace-out")) obs::set_enabled(true);
   std::shared_ptr<obs::RunLog> runlog;
   if (args.has("runlog-out")) {
     runlog = std::make_shared<obs::RunLog>(obs::make_file_sink(args.get("runlog-out", "")),
@@ -162,9 +167,7 @@ int run(const util::CliArgs& args) {
               "makespan/wait/turnaround; higher for the rest; n/a = undefined 0/0):\n\n%s",
               anchor.c_str(),
               metrics::render_normalized_table(rows, anchor, args.has("raw")).c_str());
-  if (args.has("trace-out")) {
-    obs::TraceRecorder::global().save_chrome_trace(args.get("trace-out", ""));
-  }
+  if (trace_out) trace_out->write(obs::TraceRecorder::global());
   return 0;
 }
 

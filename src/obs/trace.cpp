@@ -10,6 +10,10 @@
 
 namespace reasched::obs {
 
+namespace detail {
+std::atomic<bool> g_enabled{false};
+}  // namespace detail
+
 namespace {
 
 /// Small dense per-thread id for trace rows: threads are numbered in first-
@@ -98,10 +102,13 @@ std::string TraceRecorder::chrome_trace_json() const {
   return w.str();
 }
 
-void TraceRecorder::save_chrome_trace(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("TraceRecorder::save_chrome_trace: cannot open " + path);
-  f << chrome_trace_json() << '\n';
+ChromeTraceFile::ChromeTraceFile(std::string path) : path_(std::move(path)), out_(path_) {
+  if (!out_) throw std::runtime_error("cannot open trace output " + path_);
+}
+
+void ChromeTraceFile::write(const TraceRecorder& recorder) {
+  out_ << recorder.chrome_trace_json() << '\n' << std::flush;
+  if (!out_) throw std::runtime_error("cannot write trace output " + path_);
 }
 
 Span Span::begin(TraceRecorder& recorder, std::string name, std::string cat) {

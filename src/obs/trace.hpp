@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,8 +13,22 @@
 
 namespace reasched::obs {
 
+// ---------------------------------------------------------------------------
+// Global span-recording switch.
+//
+// Instrumentation sites guard on obs::enabled() (one relaxed atomic load)
+// before touching the tracer, so a disabled run pays a predictable branch
+// and nothing else. On and off must be behaviorally indistinguishable in
+// decision output, which the obs golden test pins.
+// ---------------------------------------------------------------------------
+namespace detail {
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
+inline void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
+
 /// Sampling period for hot-path instrumentation: the engine records one
-/// span (and flushes counter deltas) every this-many steps/decisions.
+/// span every this-many steps/decisions.
 /// A span costs two wall-clock reads plus a mutex-guarded copy with a
 /// handful of string allocations - roughly a microsecond - against a
 /// ~500ns-per-step simulation budget, so recording every step would mean
@@ -65,7 +81,6 @@ class TraceRecorder {
   void clear();
 
   std::string chrome_trace_json() const;
-  void save_chrome_trace(const std::string& path) const;
 
  private:
   const std::size_t capacity_;
@@ -73,6 +88,20 @@ class TraceRecorder {
   std::vector<SpanRecord> ring_ GUARDED_BY(mu_);
   std::size_t next_ GUARDED_BY(mu_) = 0;   ///< slot the next record lands in
   std::size_t total_ GUARDED_BY(mu_) = 0;  ///< spans ever recorded
+};
+
+/// Chrome-trace output file. The constructor opens `path` and throws
+/// std::runtime_error naming it when it cannot, so a binary that opens its
+/// trace output before doing any work refuses an unwritable path up front
+/// instead of losing every span at exit; write() saves the spans.
+class ChromeTraceFile {
+ public:
+  explicit ChromeTraceFile(std::string path);
+  void write(const TraceRecorder& recorder);
+
+ private:
+  std::string path_;
+  std::ofstream out_;
 };
 
 /// RAII span. A default-constructed Span is inert (the disabled-telemetry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -280,30 +281,43 @@ std::string render_checkpoint(const std::string& path, std::uint64_t digest) {
   return w.str();
 }
 
-std::string render_stats(bool obs_enabled, const obs::RegistrySnapshot& registry,
+std::string render_stats(const ServiceEngine& engine, bool obs_enabled,
                          const obs::TraceStats& spans) {
+  const ServiceStatus s = engine.status();
+  const sim::ScheduleResult& r = engine.schedule_view();
+  // std::map: the gauges come out name-sorted, scheduler keys included.
+  std::map<std::string, double> gauges = {
+      {"service/admitted", static_cast<double>(s.n_admitted)},
+      {"service/buffered", static_cast<double>(s.n_buffered)},
+      {"service/cancelled", static_cast<double>(s.n_cancelled)},
+      {"service/clock", s.clock},
+      {"service/completed", static_cast<double>(s.n_completed)},
+      {"service/decisions", static_cast<double>(s.n_decisions)},
+      {"service/drained", s.drained ? 1.0 : 0.0},
+      {"service/now", s.engine_now},
+      {"service/running", static_cast<double>(s.n_running)},
+      {"service/steps", static_cast<double>(s.steps)},
+      {"service/stream_emitted", static_cast<double>(s.stream_emitted)},
+      {"service/waiting", static_cast<double>(s.n_waiting)}};
+  if (const obs::RunLog* runlog = engine.runlog()) {
+    gauges["service/runlog_dropped"] = static_cast<double>(runlog->dropped());
+    gauges["service/runlog_rows"] = static_cast<double>(runlog->rows());
+  }
+  for (const auto& [key, value] : engine.scheduler().obs_counters()) gauges[key] = value;
+
   util::JsonWriter w;
   w.begin_object().kv("ok", true).kv("op", "stats");
   w.kv("obs_enabled", obs_enabled);
   w.key("counters").begin_object();
-  for (const auto& [name, value] : registry.counters) w.kv(name, static_cast<long long>(value));
+  w.kv("engine/backfills", r.n_backfills);
+  w.kv("engine/completed_jobs", r.completed.size());
+  w.kv("engine/decisions", r.n_decisions);
+  w.kv("engine/forced_delays", r.n_forced_delays);
+  w.kv("engine/invalid_actions", r.n_invalid_actions);
+  w.kv("engine/steps", s.steps);
   w.end_object();
   w.key("gauges").begin_object();
-  for (const auto& [name, value] : registry.gauges) w.kv_exact(name, value);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : registry.histograms) {
-    w.key(name).begin_object();
-    w.key("bounds").begin_array();
-    for (const double b : h.bounds) w.value(b);
-    w.end_array();
-    w.key("counts").begin_array();
-    for (const std::uint64_t c : h.counts) w.value(static_cast<long long>(c));
-    w.end_array();
-    w.kv("count", static_cast<long long>(h.count));
-    w.kv_exact("sum", h.sum);
-    w.end_object();
-  }
+  for (const auto& [name, value] : gauges) w.kv_exact(name, value);
   w.end_object();
   w.key("spans").begin_object();
   w.kv("recorded", spans.recorded);

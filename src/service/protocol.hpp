@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "service/service_engine.hpp"
 #include "sim/job.hpp"
@@ -27,7 +26,7 @@ namespace reasched::service {
 ///   {"op":"advance","to":3600}                            -> process events up to t
 ///   {"op":"drain"}                                        -> run to completion + metrics
 ///   {"op":"checkpoint","path":"snap.json"}                -> write a snapshot
-///   {"op":"stats"}                                        -> live telemetry snapshot
+///   {"op":"stats"}                                        -> live session counters
 ///   {"op":"shutdown"}                                     -> close the session
 ///
 /// Every error - parse failure, unknown op, rejected operation - is a
@@ -82,10 +81,13 @@ std::string render_job_state(sim::JobId id, sim::JobState state);
 std::string render_advance(const ServiceStatus& status);
 std::string render_drain(const DrainResult& result);
 std::string render_checkpoint(const std::string& path, std::uint64_t digest);
-/// Live telemetry snapshot as one JSON line: the registry's counters,
-/// gauges and histograms (name-sorted) plus span-ring occupancy. Purely
-/// observational - nothing here feeds the digest, the op log or a decision.
-std::string render_stats(bool obs_enabled, const obs::RegistrySnapshot& registry,
+/// Live session snapshot as one JSON line, read from `engine` when called:
+/// the engine counters (steps, decisions, rejected actions, ...), the
+/// session gauges plus run-log and scheduler counters (each block
+/// name-sorted) and span-ring occupancy. Exact whether or not span
+/// recording is on. Purely observational - nothing here feeds the digest,
+/// the op log or a decision.
+std::string render_stats(const ServiceEngine& engine, bool obs_enabled,
                          const obs::TraceStats& spans);
 std::string render_shutdown();
 std::string render_error(const std::string& message);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "harness/methods.hpp"
-#include "obs/metrics_registry.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/string_utils.hpp"
@@ -319,33 +318,6 @@ void ServiceEngine::emit_runlog_rows(const sim::ScheduleResult& result) {
   }
   runlog_emitted_ = result.completed.size();
   runlog_->flush();
-}
-
-void ServiceEngine::publish_obs() const {
-  // Exact engine counters at the stats boundary (the hot path flushes only
-  // at sampled steps).
-  core_->flush_obs();
-  obs::MetricRegistry& reg = obs::MetricRegistry::global();
-  const ServiceStatus s = status();
-  reg.gauge("service/clock").set(s.clock);
-  reg.gauge("service/now").set(s.engine_now);
-  reg.gauge("service/steps").set(static_cast<double>(s.steps));
-  reg.gauge("service/admitted").set(static_cast<double>(s.n_admitted));
-  reg.gauge("service/buffered").set(static_cast<double>(s.n_buffered));
-  reg.gauge("service/waiting").set(static_cast<double>(s.n_waiting));
-  reg.gauge("service/running").set(static_cast<double>(s.n_running));
-  reg.gauge("service/completed").set(static_cast<double>(s.n_completed));
-  reg.gauge("service/cancelled").set(static_cast<double>(s.n_cancelled));
-  reg.gauge("service/decisions").set(static_cast<double>(s.n_decisions));
-  reg.gauge("service/stream_emitted").set(static_cast<double>(s.stream_emitted));
-  reg.gauge("service/drained").set(s.drained ? 1.0 : 0.0);
-  if (runlog_ != nullptr) {
-    reg.gauge("service/runlog_rows").set(static_cast<double>(runlog_->rows()));
-    reg.gauge("service/runlog_dropped").set(static_cast<double>(runlog_->dropped()));
-  }
-  for (const auto& [key, value] : scheduler_->obs_counters()) {
-    reg.gauge(key).set(value);
-  }
 }
 
 std::uint64_t ServiceEngine::state_digest() const {

@@ -154,17 +154,12 @@ class ServiceEngine {
   /// alter what two sessions consider "identical".
   std::uint64_t state_digest() const;
 
-  /// Publish the current session state (clock, queue depths, decision
-  /// counters, the scheduler's own counters) as gauges in the global
-  /// metric registry - the live half of a `stats` response. Works whether
-  /// or not obs::enabled(): an explicit stats request implies the caller
-  /// wants a snapshot. Observe-only; session state is untouched.
-  void publish_obs() const;
-
   /// Attach a streaming run log: one row per newly completed job, appended
   /// as advances/drains complete (see obs::RunLog for the degrade-on-failure
   /// contract). Pass nullptr to detach.
   void set_runlog(std::shared_ptr<obs::RunLog> runlog) { runlog_ = std::move(runlog); }
+  /// The attached run log, or nullptr.
+  const obs::RunLog* runlog() const { return runlog_.get(); }
   /// Columns of the per-completion run-log rows.
   static std::vector<std::string> runlog_columns();
 

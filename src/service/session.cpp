@@ -5,7 +5,6 @@
 #include <ostream>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "service/snapshot.hpp"
 #include "util/string_utils.hpp"
@@ -30,12 +29,7 @@ std::string handle_request(ServiceEngine& engine, const Request& request, bool& 
         save_snapshot(engine, request.path);
         return render_checkpoint(request.path, engine.state_digest());
       case Request::Op::kStats:
-        // Live snapshot: refresh the session gauges, then render whatever
-        // the registry holds. Works with telemetry disabled too (the
-        // request itself is the opt-in); observe-only either way.
-        engine.publish_obs();
-        return render_stats(obs::enabled(), obs::MetricRegistry::global().snapshot(),
-                            obs::TraceRecorder::global().stats());
+        return render_stats(engine, obs::enabled(), obs::TraceRecorder::global().stats());
       case Request::Op::kShutdown:
         shutdown = true;
         return render_shutdown();

@@ -270,24 +270,11 @@ void EngineCore::decision_phase(double event_time) {
   }
 }
 
-void EngineCore::bind_obs_cells() {
-  obs::MetricRegistry& reg = obs::MetricRegistry::global();
-  obs_cells_.steps = &reg.counter("engine/steps");
-  obs_cells_.decisions = &reg.counter("engine/decisions");
-  obs_cells_.invalid_actions = &reg.counter("engine/invalid_actions");
-  obs_cells_.backfills = &reg.counter("engine/backfills");
-  obs_cells_.forced_delays = &reg.counter("engine/forced_delays");
-  obs_cells_.completed_jobs = &reg.counter("engine/completed_jobs");
-  obs_cells_.queue_depth =
-      &reg.histogram("engine/queue_depth", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-}
-
 bool EngineCore::step() {
   if (events_.empty()) return false;
 
   // Telemetry: non-sampled steps cost one relaxed load plus a serial
-  // increment; every obs::kSampleEvery-th step additionally flushes counter
-  // deltas to the registry, samples the queue depth and records an
+  // increment; every obs::kSampleEvery-th step additionally records an
   // event-batch span. Everything here is observe-only.
   const bool obs_sampled = obs::enabled() && (obs_step_serial_++ & (obs::kSampleEvery - 1)) == 0;
   std::size_t obs_decisions0 = 0, obs_completed0 = 0;
@@ -312,8 +299,6 @@ bool EngineCore::step() {
   ++steps_;
 
   if (obs_sampled) {
-    flush_obs();
-    obs_cells_.queue_depth->observe(static_cast<double>(table_.n_waiting()));
     step_span.set_sim_time(event_time);
     step_span.arg("decisions", static_cast<double>(result_.n_decisions - obs_decisions0));
     step_span.arg("completed", static_cast<double>(result_.completed.size() - obs_completed0));
@@ -323,28 +308,10 @@ bool EngineCore::step() {
   return true;
 }
 
-void EngineCore::flush_obs() {
-  if (!obs::enabled()) return;
-  if (obs_cells_.steps == nullptr) bind_obs_cells();
-  obs_cells_.steps->add(steps_ - obs_pub_steps_);
-  obs_cells_.decisions->add(result_.n_decisions - obs_pub_decisions_);
-  obs_cells_.invalid_actions->add(result_.n_invalid_actions - obs_pub_invalid_);
-  obs_cells_.backfills->add(result_.n_backfills - obs_pub_backfills_);
-  obs_cells_.forced_delays->add(result_.n_forced_delays - obs_pub_forced_);
-  obs_cells_.completed_jobs->add(result_.completed.size() - obs_pub_completed_);
-  obs_pub_steps_ = steps_;
-  obs_pub_decisions_ = result_.n_decisions;
-  obs_pub_invalid_ = result_.n_invalid_actions;
-  obs_pub_backfills_ = result_.n_backfills;
-  obs_pub_forced_ = result_.n_forced_delays;
-  obs_pub_completed_ = result_.completed.size();
-}
-
 ScheduleResult EngineCore::finish() {
   if (table_.n_waiting() > 0 || table_.n_ineligible() > 0) {
     throw std::logic_error("Engine: simulation ended with unscheduled jobs (unreachable)");
   }
-  flush_obs();  // exact registry totals at the run boundary
   // total-order: unique JobId.
   std::sort(result_.completed.begin(), result_.completed.end(),
             [](const CompletedJob& a, const CompletedJob& b) { return a.job.id < b.job.id; });

@@ -4,7 +4,6 @@
 #include <set>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
 #include "sim/cluster.hpp"
 #include "sim/constraint_checker.hpp"
 #include "sim/engine.hpp"
@@ -91,36 +90,12 @@ class EngineCore {
   /// out. The core is spent afterwards.
   ScheduleResult finish();
 
-  /// Publish the not-yet-published telemetry counter deltas to the global
-  /// registry. The hot path flushes only at sampled steps (1 in
-  /// obs::kSampleEvery) to keep the overhead gate honest; call this before
-  /// reading the registry at a
-  /// boundary (finish(), a `stats` request) for exact totals. No-op when
-  /// telemetry is off. Observe-only.
-  void flush_obs();
-
  private:
   DecisionContext context(double event_time) const;
   void process_events_at(double event_time);
   void decision_phase(double event_time);
   void execute_start(double event_time, const Job& job, bool backfill);
   void emergency_start(double event_time);
-
-  /// Resolve the global-registry cells once (register-on-demand takes the
-  /// registry lock; afterwards the hot path touches only lock-free cells).
-  void bind_obs_cells();
-
-  /// Cached telemetry cells; null until the first enabled step. All writes
-  /// are observe-only: nothing here is read back into a decision.
-  struct ObsCells {
-    obs::Counter* steps = nullptr;
-    obs::Counter* decisions = nullptr;
-    obs::Counter* invalid_actions = nullptr;
-    obs::Counter* backfills = nullptr;
-    obs::Counter* forced_delays = nullptr;
-    obs::Counter* completed_jobs = nullptr;
-    obs::Histogram* queue_depth = nullptr;
-  };
 
   EngineConfig config_;
   ConstraintChecker checker_;
@@ -137,23 +112,11 @@ class EngineCore {
   std::uint64_t steps_ = 0;
   bool stopped_ = false;
   bool more_arrivals_hint_ = false;
-  ObsCells obs_cells_;
-  /// Serial counters for 1-in-obs::kSampleEvery sampling: wall-clock reads
-  /// (spans) and registry publication (a handful of atomic adds + a
-  /// histogram scan) are both too expensive for every step on a ~550ns
-  /// step budget, so spans are sampled and counters are flushed as deltas
-  /// at the sampled steps (flush_obs() makes them exact at run/stats
-  /// boundaries).
+  /// Serial counters for 1-in-obs::kSampleEvery span sampling: two
+  /// wall-clock reads plus a recorder copy are too expensive for every step
+  /// on a ~550ns step budget.
   std::uint64_t obs_step_serial_ = 0;
   std::uint64_t obs_decision_serial_ = 0;
-  /// Counter values already published to the registry cells (the flush
-  /// publishes result_-vs-these deltas, so concurrent engines compose).
-  std::uint64_t obs_pub_steps_ = 0;
-  std::size_t obs_pub_decisions_ = 0;
-  std::size_t obs_pub_invalid_ = 0;
-  std::size_t obs_pub_backfills_ = 0;
-  std::size_t obs_pub_forced_ = 0;
-  std::size_t obs_pub_completed_ = 0;
 };
 
 }  // namespace reasched::sim

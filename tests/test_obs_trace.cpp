@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,8 +141,18 @@ TEST(ObsTrace, ChromeTraceJsonIsWellFormed) {
   EXPECT_EQ(ev.at("args").at("sim_time").as_number(), 12.5);
 
   const std::string path = ::testing::TempDir() + "/reasched_obs_trace.json";
-  rec.save_chrome_trace(path);
+  ro::ChromeTraceFile(path).write(rec);
   EXPECT_EQ(ru::parse_json(slurp(path)).at("traceEvents").size(), 2u);
+}
+
+TEST(ObsTrace, TraceFileRefusesAnUnwritablePathWhenOpened) {
+  const std::string path = ::testing::TempDir() + "/no_such_dir/reasched_obs_trace.json";
+  try {
+    ro::ChromeTraceFile file(path);
+    FAIL() << "opened " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
 }
 
 TEST(ObsRunLog, CsvSinkWritesHeaderAndEscapedRows) {
